@@ -1,27 +1,22 @@
-"""Incremental CIRC (persistent ArgStore) vs. from-scratch exploration.
+"""Incremental CIRC: re-verification against a warm, shared ArgStore.
 
 The workload is the Fig 2-4 test-and-set query plus a refinement-heavy
 slice of the fuzzer corpus (seeds picked for high outer/inner iteration
-counts, i.e. many predicate-refinement restarts).  Two modes run the
-whole workload twice each:
+counts, i.e. many predicate-refinement restarts).  One persistent
+:class:`~repro.reach.ArgStore` per item is shared across two passes:
 
-* **scratch** -- ``incremental=False``: every ``circ()`` call explores
-  from nothing.  The second pass models re-verification after an edit
-  elsewhere in a batch: only the global SMT cache is warm;
-* **incremental** -- ``incremental=True`` with one persistent
-  :class:`~repro.reach.ArgStore` per item shared across both passes.
-  Pass one pays the same exploration cost and fills the store's post,
-  omega and result memos; pass two is the re-verification the store
-  exists for, answering from retained subtrees.
+* **cold** -- the first pass explores from empty stores and fills their
+  post, omega and result memos;
+* **warm** -- the second pass is the re-verification the store exists
+  for, answering from retained subtrees and whole-run results.
 
 SMT acceleration state (the shared query cache and the incremental
-solver session) is reset before each mode so neither inherits the
-other's warmth -- the measured delta is the ArgStore's alone.
+solver session) is reset before each cold pass, so the warm pass
+inherits the SMT warmth of its own cold pass only.
 
-Every mode must produce identical verdicts on every item: the store is
-a pure accelerator (the differential fuzzer referees the same claim at
-scale).  The CI gate is ``speedup_reverify``: the warm incremental pass
-may never be slower than the scratch re-verification pass.
+Both passes must produce identical verdicts on every item: the store is
+a pure accelerator.  The gate is ``speedup_reverify`` (cold over warm):
+the warm pass must be at least 1.5x faster than the cold one.
 
 Standalone run (writes ``BENCH_incremental.json``)::
 
@@ -50,9 +45,12 @@ _REFINEMENT_HEAVY = (40, 32, 43, 45, 13, 34)
 
 _BUDGET = dict(max_outer=6, max_inner=40, timeout_s=60.0)
 
+#: The warm pass must beat its own cold pass by this factor.
+SPEEDUP_BAR = 1.5
+
 
 def workload_items(quick: bool = False) -> list[tuple[str, object, str]]:
-    """(name, cfa, race variable) triples run by every mode."""
+    """(name, cfa, race variable) triples run by both passes."""
     items = [("fig2to4/x", lower_source(TEST_AND_SET_SOURCE), "x")]
     seeds = _REFINEMENT_HEAVY[:2] if quick else _REFINEMENT_HEAVY
     for seed in seeds:
@@ -63,15 +61,12 @@ def workload_items(quick: bool = False) -> list[tuple[str, object, str]]:
     return items
 
 
-def run_pass(items, incremental: bool, stores=None) -> dict[str, str]:
+def run_pass(items, stores) -> dict[str, str]:
     """One pass over the workload; returns verdict kind per item."""
     verdicts = {}
-    for i, (name, cfa, var) in enumerate(items):
-        kwargs = dict(_BUDGET, incremental=incremental)
-        if stores is not None:
-            kwargs["store"] = stores[i]
+    for (name, cfa, var), store in zip(items, stores):
         try:
-            result = circ(cfa, race_on=var, **kwargs)
+            result = circ(cfa, race_on=var, store=store, **_BUDGET)
         except CircBudgetExceeded as exc:
             result = exc.result
         verdicts[name] = type(result).__name__
@@ -84,57 +79,30 @@ def _reset_acceleration() -> None:
 
 
 def run_modes(items, repeats: int = 2) -> dict:
-    """scratch / incremental two-pass timings (best of ``repeats``)."""
-    scratch_cold = scratch_reverify = float("inf")
-    for _ in range(repeats):
-        _reset_acceleration()
-        t0 = time.perf_counter()
-        verdicts_scratch = run_pass(items, incremental=False)
-        scratch_cold = min(scratch_cold, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        verdicts_scratch2 = run_pass(items, incremental=False)
-        scratch_reverify = min(scratch_reverify, time.perf_counter() - t0)
-
-    incr_cold = incr_warm = float("inf")
+    """Cold / warm shared-store timings (best of ``repeats``)."""
+    cold = warm = float("inf")
     reuse_totals: dict[str, int] = {}
     for _ in range(repeats):
         _reset_acceleration()
         stores = [ArgStore() for _ in items]
         t0 = time.perf_counter()
-        verdicts_cold = run_pass(items, incremental=True, stores=stores)
-        incr_cold = min(incr_cold, time.perf_counter() - t0)
+        verdicts_cold = run_pass(items, stores)
+        cold = min(cold, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        verdicts_warm = run_pass(items, incremental=True, stores=stores)
-        incr_warm = min(incr_warm, time.perf_counter() - t0)
+        verdicts_warm = run_pass(items, stores)
+        warm = min(warm, time.perf_counter() - t0)
         reuse_totals = {}
         for s in stores:
             for key, value in s.reuse_stats().items():
                 reuse_totals[key] = reuse_totals.get(key, 0) + value
 
-    assert (
-        verdicts_scratch
-        == verdicts_scratch2
-        == verdicts_cold
-        == verdicts_warm
-    ), (
-        "incremental exploration changed a verdict: "
-        f"{verdicts_scratch} / {verdicts_cold} / {verdicts_warm}"
+    assert verdicts_cold == verdicts_warm, (
+        "the warm store changed a verdict: "
+        f"{verdicts_cold} / {verdicts_warm}"
     )
     return {
-        "timings_s": {
-            "scratch_cold": round(scratch_cold, 4),
-            "scratch_reverify": round(scratch_reverify, 4),
-            "incremental_cold": round(incr_cold, 4),
-            "incremental_warm": round(incr_warm, 4),
-        },
-        "speedup_reverify": round(
-            scratch_reverify / max(incr_warm, 1e-9), 3
-        ),
-        "speedup_two_pass": round(
-            (scratch_cold + scratch_reverify)
-            / max(incr_cold + incr_warm, 1e-9),
-            3,
-        ),
+        "timings_s": {"cold": round(cold, 4), "warm": round(warm, 4)},
+        "speedup_reverify": round(cold / max(warm, 1e-9), 3),
         "verdicts": verdicts_warm,
         "reuse": {k: v for k, v in sorted(reuse_totals.items())},
     }
@@ -143,12 +111,11 @@ def run_modes(items, repeats: int = 2) -> dict:
 # -- pytest entry point (quick workload) --------------------------------------
 
 
-def test_incremental_never_slower_and_verdicts_stable():
+def test_warm_store_beats_cold_and_verdicts_stable():
     items = workload_items(quick=True)
     data = run_modes(items)
     assert data["verdicts"]["fig2to4/x"] == "CircSafe"
-    # CI gate: the warm incremental pass beats scratch re-verification.
-    assert data["speedup_reverify"] >= 1.0, data["timings_s"]
+    assert data["speedup_reverify"] >= SPEEDUP_BAR, data["timings_s"]
     # The warm pass is answered from the store, not re-explored.
     assert data["reuse"]["result_hits"] > 0, data["reuse"]
 
@@ -174,18 +141,8 @@ def main(argv=None) -> int:
     data = run_modes(items, repeats=args.repeats)
 
     t = data["timings_s"]
-    print(
-        f"scratch   cold {t['scratch_cold']:8.3f}s   "
-        f"reverify {t['scratch_reverify']:8.3f}s"
-    )
-    print(
-        f"increment cold {t['incremental_cold']:8.3f}s   "
-        f"warm     {t['incremental_warm']:8.3f}s"
-    )
-    print(
-        f"re-verification speedup: {data['speedup_reverify']:.2f}x, "
-        f"two-pass total: {data['speedup_two_pass']:.2f}x"
-    )
+    print(f"cold {t['cold']:8.3f}s   warm {t['warm']:8.3f}s")
+    print(f"re-verification speedup: {data['speedup_reverify']:.2f}x")
     r = data["reuse"]
     print(
         f"reuse: {r.get('result_hits', 0)} whole-run hits, "
@@ -200,8 +157,8 @@ def main(argv=None) -> int:
         json.dump(payload, fh, indent=2)
     print(f"wrote {args.out}")
 
-    if data["speedup_reverify"] < 1.5:
-        print("FAIL: incremental re-verification under the 1.5x bar")
+    if data["speedup_reverify"] < SPEEDUP_BAR:
+        print(f"FAIL: warm re-verification under the {SPEEDUP_BAR}x bar")
         return 1
     return 0
 

@@ -31,7 +31,6 @@ from repro.circ import circ
 from repro.lang import lower_source
 from repro.nesc import BENCHMARKS
 from repro.nesc.programs import TEST_AND_SET_SOURCE
-from repro.smt import terms as terms_mod
 from repro.smt.profile import PROFILER
 from repro.smt.qcache import SAT_CACHE
 from repro.smt.session import default_session, reset_default_session
@@ -121,70 +120,6 @@ def run_modes(items, repeats: int = 3) -> dict:
     }
 
 
-def _clear_term_keyed_memos() -> None:
-    """Drop every memo keyed by Term objects, for honest per-mode colds.
-
-    Structural equality lets terms built in one mode hit memo entries
-    populated in the other (equal keys, equal hashes), which would let
-    the structural run coast on work the interned run paid for.
-    """
-    from repro.smt import cnf, linear, qcache, simplify
-
-    qcache._literal_memo.clear()
-    qcache._term_memo.clear()
-    qcache._alias_memo.clear()
-    cnf._NNF_MEMO.clear()
-    linear._LINEARIZE_MEMO.clear()
-    simplify._FOLD_MEMO.clear()
-
-
-def run_hashcons_axis(items, repeats: int = 3) -> dict:
-    """Cold/warm timings with the intern table on vs. off.
-
-    Both modes run the same workload objects; hash-consing is a pure
-    accelerator, so verdicts and solver query counts must be identical
-    and the interned warm run must not be slower than the structural one.
-    """
-    axis: dict = {}
-    for label, enabled in (("on", True), ("off", False)):
-        prev = terms_mod.set_interning(enabled)
-        try:
-            cold_s = float("inf")
-            for _ in range(repeats):
-                _reset_acceleration()
-                terms_mod.clear_intern_table()
-                _clear_term_keyed_memos()
-                t0 = time.perf_counter()
-                verdicts = run_workload(items)
-                cold_s = min(cold_s, time.perf_counter() - t0)
-            PROFILER.reset()
-            warm_s = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                verdicts_warm = run_workload(items)
-                warm_s = min(warm_s, time.perf_counter() - t0)
-            assert verdicts == verdicts_warm, (verdicts, verdicts_warm)
-            totals = PROFILER.totals()
-            axis[label] = {
-                "cold_s": round(cold_s, 4),
-                "warm_s": round(warm_s, 4),
-                "verdicts": verdicts,
-                "profile_queries": {
-                    stage: st["queries"]
-                    for stage, st in sorted(PROFILER.snapshot().items())
-                },
-                "queries_total": totals["queries"],
-            }
-        finally:
-            terms_mod.set_interning(prev)
-    _reset_acceleration()
-    terms_mod.clear_intern_table()
-    axis["speedup_warm_on_vs_off"] = round(
-        axis["off"]["warm_s"] / max(axis["on"]["warm_s"], 1e-9), 3
-    )
-    return axis
-
-
 # -- pytest entry point (quick workload) --------------------------------------
 
 
@@ -196,20 +131,6 @@ def test_warm_runs_never_slower_and_verdicts_stable():
     # Warm runs answer overwhelmingly from the cache.
     stats = data["cache_stats"]
     assert stats["hits"] > stats["misses"], stats
-
-
-def test_hashcons_axis_equivalent_and_not_slower():
-    """The CI gate for the hash-consed term layer: interning must not
-    change a verdict, must issue exactly the same solver queries stage
-    by stage (predicate abstraction included), and its warm run must be
-    at least as fast as the structural-equality path's."""
-    axis = run_hashcons_axis(workload_items(quick=True))
-    assert axis["on"]["verdicts"] == axis["off"]["verdicts"]
-    assert axis["on"]["profile_queries"] == axis["off"]["profile_queries"]
-    assert axis["on"]["queries_total"] == axis["off"]["queries_total"]
-    # >= 1.0 in expectation; 0.9 absorbs timer noise on the sub-100ms
-    # quick workload without letting a real slowdown through.
-    assert axis["speedup_warm_on_vs_off"] >= 0.9, axis
 
 
 # -- standalone entry point ---------------------------------------------------
@@ -251,8 +172,6 @@ def main(argv=None) -> int:
     items = workload_items(quick=args.quick)
     print(f"{len(items)} CIRC queries per mode, {args.repeats} repeat(s)")
     data = run_modes(items, repeats=args.repeats)
-    axis = run_hashcons_axis(items, repeats=args.repeats)
-    data["hashcons"] = axis
 
     t = data["timings_s"]
     print(
@@ -267,11 +186,6 @@ def main(argv=None) -> int:
     print(
         f"cache: {cs['hits']} hits / {cs['misses']} misses, "
         f"size {cs['size']}, {cs['evictions']} evictions"
-    )
-    print(
-        f"hashcons: warm on {axis['on']['warm_s']:.3f}s / "
-        f"off {axis['off']['warm_s']:.3f}s "
-        f"({axis['speedup_warm_on_vs_off']:.2f}x)"
     )
 
     if baseline is not None:
@@ -295,15 +209,6 @@ def main(argv=None) -> int:
     failed = False
     if data["speedup_warm_vs_cold"] < 1.0:
         print("FAIL: cached re-run slower than the cold run")
-        failed = True
-    if axis["on"]["verdicts"] != axis["off"]["verdicts"]:
-        print("FAIL: hash-consing changed a verdict")
-        failed = True
-    if axis["on"]["profile_queries"] != axis["off"]["profile_queries"]:
-        print("FAIL: hash-consing changed the per-stage query counts")
-        failed = True
-    if axis["speedup_warm_on_vs_off"] < 0.9:
-        print("FAIL: interned warm run slower than the structural path")
         failed = True
     if baseline is not None:
         if data.get("verdicts") != baseline.get("verdicts"):

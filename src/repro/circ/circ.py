@@ -27,14 +27,13 @@ import time
 from typing import Iterable, Literal, Optional
 
 from ..acfa.acfa import Acfa, empty_acfa
-from ..acfa.collapse import collapse, project_acfa
+from ..acfa.collapse import project_acfa
 from ..acfa.simulate import simulates
 from ..cfa.cfa import CFA
 from ..context.state import AbstractProgram
 from ..exec.interp import MultiProgram, replay
-from ..predabs.abstractor import Abstractor
 from ..predabs.region import PredicateSet
-from ..reach import FRONTIERS, ArgStore
+from ..reach import ArgStore
 from ..smt import terms as T
 from .omega import omega_check
 from ..reach import (
@@ -105,8 +104,6 @@ def circ(
     timeout_s: float | None = None,
     keep_history: bool = False,
     validate_witness: bool = True,
-    incremental: bool = True,
-    frontier: str = "bfs",
     store: ArgStore | None = None,
 ) -> CircSafe | CircUnsafe:
     """Check the symmetric multithreaded program ``cfa``^infinity for races
@@ -124,42 +121,30 @@ def circ(
     ``None`` (no budget), preserving the historical behavior of looping
     until ``max_outer``/``max_inner`` give up with a plain ``CircError``.
 
-    ``incremental`` (default on) keeps a persistent
-    :class:`~repro.reach.store.ArgStore` across inner iterations and
-    refinement restarts, reusing abstract posts, omega checks, and
-    collapse quotients whose inputs did not change; verdicts are
-    byte-identical to scratch exploration.  Pass ``incremental=False``
-    (the escape hatch) to rebuild everything each iteration, or a
-    ``store`` to share reuse across several calls on the same program.
-    ``frontier`` selects the exploration order (``"bfs"``, ``"dfs"``,
-    ``"depth"``); the default BFS matches the historical order exactly.
+    Every run keeps one :class:`~repro.reach.store.ArgStore` across inner
+    iterations and refinement restarts, reusing abstract posts, omega
+    checks, and collapse quotients whose inputs did not change.  Pass a
+    ``store`` to share that reuse across several calls on the same
+    program.  In the boolean domain a predicate refinement rebuilds the
+    store's abstractor and drops its post memos
+    (:meth:`~repro.reach.store.ArgStore.abstractor_for`).
     """
     if race_on is None and not check_errors:
         raise ValueError("nothing to check: give race_on or check_errors")
-    if frontier not in FRONTIERS:
-        raise ValueError(
-            f"unknown frontier strategy {frontier!r}; "
-            f"choose from {sorted(FRONTIERS)}"
-        )
     start_time = time.perf_counter()
     deadline = start_time + timeout_s if timeout_s is not None else None
     stats = CircStats(final_k=k)
     preds = PredicateSet(initial_predicates)
     omega_start = variant == "circ"
-    # The boolean domain does not upgrade by literal union, so predicate
-    # refinement cannot keep any memoized posts -- run it from scratch.
-    use_store = incremental and abstraction == "cartesian"
-    arg_store = (store or ArgStore()) if use_store else None
-    if arg_store is not None:
-        arg_store.bind_cfa(cfa)
+    arg_store = store if store is not None else ArgStore()
+    arg_store.bind_cfa(cfa)
 
     def finalize_stats() -> None:
         stats.n_predicates = len(preds)
         stats.final_k = k
         stats.elapsed_seconds = time.perf_counter() - start_time
-        if arg_store is not None:
-            stats.reuse = arg_store.reuse_stats()
-            stats.store_digest = arg_store.digest()
+        stats.reuse = arg_store.reuse_stats()
+        stats.store_digest = arg_store.digest()
 
     def record(rec: IterationRecord) -> None:
         if keep_history:
@@ -192,10 +177,7 @@ def circ(
         context: Acfa = empty_acfa()
         mu: dict[int, int] = {}
         prev_reach: Optional[ReachResult] = None
-        if arg_store is not None:
-            abstractor = arg_store.abstractor_for(preds, abstraction)
-        else:
-            abstractor = Abstractor(preds, mode=abstraction)
+        abstractor = arg_store.abstractor_for(preds, abstraction)
         refined = False
 
         for inner in range(1, max_inner + 1):
@@ -211,7 +193,6 @@ def circ(
                     max_states=max_states,
                     deadline=deadline,
                     store=arg_store,
-                    frontier=frontier,
                 )
             except AbstractRaceFound as exc:
                 record(
@@ -357,12 +338,7 @@ def circ(
                     stats=stats,
                 )
 
-            if arg_store is not None:
-                context, mu = arg_store.collapse_quotient(
-                    reach.arg, cfa.locals
-                )
-            else:
-                context, mu = collapse(reach.arg, cfa.locals)
+            context, mu = arg_store.collapse_quotient(reach.arg, cfa.locals)
             prev_reach = reach
         else:
             raise CircError(

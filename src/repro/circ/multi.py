@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..acfa.acfa import Acfa, AcfaEdge, empty_acfa
-from ..acfa.collapse import collapse, project_acfa
+from ..acfa.collapse import project_acfa
 from ..acfa.simulate import simulation_relation
 from ..cfa.cfa import CFA, Edge
 from ..context.state import AbstractProgram
 from ..exec.interp import MultiProgram, replay
-from ..predabs.abstractor import Abstractor
 from ..predabs.region import PredicateSet
 from ..reach import ArgStore
 from ..smt import terms as T
@@ -148,15 +147,13 @@ def circ_multi(
     max_inner: int = 40,
     max_states: int = 500_000,
     validate_witness: bool = True,
-    incremental: bool = True,
-    frontier: str = "bfs",
 ) -> MultiSafe | MultiUnsafe:
     """Check races on ``race_on`` over arbitrarily many copies of *each*
     template running concurrently.
 
-    ``incremental`` keeps one :class:`~repro.reach.store.ArgStore` per
-    template, reusing abstract posts and collapse quotients across inner
-    iterations and refinement restarts exactly like :func:`~repro.circ.circ.circ`.
+    One :class:`~repro.reach.store.ArgStore` per template reuses abstract
+    posts and collapse quotients across inner iterations and refinement
+    restarts exactly like :func:`~repro.circ.circ.circ`.
     """
     if not templates:
         raise ValueError("need at least one thread template")
@@ -172,13 +169,9 @@ def circ_multi(
     start_time = time.perf_counter()
     stats = CircStats(final_k=k)
     preds = [PredicateSet() for _ in names]
-    stores: list[Optional[ArgStore]] = [
-        ArgStore() if incremental else None for _ in names
-    ]
+    stores = [ArgStore() for _ in names]
 
     def finalize_reuse() -> None:
-        if not incremental:
-            return
         merged: dict[str, int] = {}
         for s in stores:
             for key, value in s.reuse_stats().items():
@@ -192,8 +185,6 @@ def circ_multi(
         prev: list[Optional[ReachResult]] = [None for _ in names]
         abstractors = [
             stores[i].abstractor_for(p, "cartesian")
-            if stores[i] is not None
-            else Abstractor(p)
             for i, p in enumerate(preds)
         ]
         refined = False
@@ -214,7 +205,6 @@ def circ_multi(
                             race_on=race_on,
                             max_states=max_states,
                             store=stores[i],
-                            frontier=frontier,
                         )
                     )
                 except AbstractRaceFound as exc:
@@ -292,14 +282,9 @@ def circ_multi(
                 )
             new_contexts = []
             for i, r in enumerate(reaches):
-                if stores[i] is not None:
-                    ctx, mu = stores[i].collapse_quotient(
-                        r.arg, cfas[i].locals, name=f"ctx:{names[i]}"
-                    )
-                else:
-                    ctx, mu = collapse(
-                        r.arg, cfas[i].locals, name=f"ctx:{names[i]}"
-                    )
+                ctx, mu = stores[i].collapse_quotient(
+                    r.arg, cfas[i].locals, name=f"ctx:{names[i]}"
+                )
                 new_contexts.append(ctx)
                 mus[i] = mu
                 prev[i] = r

@@ -128,15 +128,15 @@ def omega_check(
     acfa: Acfa,
     cfa: CFA,
     k: int,
-    store: ArgStore | None = None,
+    store: ArgStore,
 ) -> bool:
     """Is the converged k-thread context sound for arbitrarily many
     threads?  (See module docstring.)
 
-    With an :class:`ArgStore`, the context-only reachability is memoized
-    by the ACFA's signature and the per-(location, edge) goodness checks
-    by their label terms, so after a context weakening or refinement only
-    the *changed* locations are re-proved.
+    ``store`` memoizes the context-only reachability by the ACFA's
+    signature and the per-(location, edge) goodness checks by their
+    label terms, so after a context weakening or refinement only the
+    *changed* locations are re-proved.
     """
     with stage("omega"):
         return _omega_check(reach, acfa, cfa, k, store)
@@ -147,23 +147,20 @@ def _omega_check(
     acfa: Acfa,
     cfa: CFA,
     k: int,
-    store: ArgStore | None = None,
+    store: ArgStore,
 ) -> bool:
     if acfa.is_empty():
         return not acfa.edges
 
-    if store is not None:
-        reach_key = (
-            acfa_signature(acfa),
-            tuple(sorted(cfa.global_init.items())),
-            k,
-            MAX_CONTEXT_STATES,
-        )
-        configs = store.context_reach(
-            reach_key, lambda: _context_only_reach(acfa, cfa, k)
-        )
-    else:
-        configs = _context_only_reach(acfa, cfa, k)
+    reach_key = (
+        acfa_signature(acfa),
+        tuple(sorted(cfa.global_init.items())),
+        k,
+        MAX_CONTEXT_STATES,
+    )
+    configs = store.context_reach(
+        reach_key, lambda: _context_only_reach(acfa, cfa, k)
+    )
     if configs is None:
         coverable = _graph_reachable(acfa)
 
@@ -196,15 +193,12 @@ def _omega_check(
             if not any(enabled(e, a) for a in related.get(n, ())):
                 continue
             dst_label = acfa.label[e.dst]
-            if store is not None:
-                good = store.omega_good(
-                    label_n,
-                    e.havoc,
-                    dst_label,
-                    lambda: _is_good(label_n, e.havoc, dst_label),
-                )
-            else:
-                good = _is_good(label_n, e.havoc, dst_label)
+            good = store.omega_good(
+                label_n,
+                e.havoc,
+                dst_label,
+                lambda: _is_good(label_n, e.havoc, dst_label),
+            )
             if not good:
                 return False
     return True

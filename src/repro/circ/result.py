@@ -53,8 +53,8 @@ class CircStats:
     final_k: int = 0
     elapsed_seconds: float = 0.0
     history: list[IterationRecord] = field(default_factory=list)
-    #: Reuse counters from the incremental ArgStore (None when the run
-    #: was non-incremental); persisted in engine artifacts.
+    #: Reuse counters from the run's ArgStore; persisted in engine
+    #: artifacts.
     reuse: Optional[dict[str, int]] = None
     #: Digest of the ArgStore's exploration history at exit.
     store_digest: Optional[str] = None

@@ -235,8 +235,6 @@ def _cmd_check(args) -> int:
                     k=args.k,
                     max_iterations=args.max_iterations,
                     timeout_s=args.timeout,
-                    incremental=not args.no_incremental,
-                    frontier=args.frontier,
                 )
                 result = preport.to_circ_result()
                 portfolio_tag = (
@@ -255,8 +253,6 @@ def _cmd_check(args) -> int:
                     k=args.k,
                     max_iterations=args.max_iterations,
                     timeout_s=args.timeout,
-                    incremental=not args.no_incremental,
-                    frontier=args.frontier,
                 )
         except (CircBudgetExceeded, CircInconclusive) as exc:
             result = exc.result
@@ -668,8 +664,6 @@ def _cmd_batch(args) -> int:
         options["max_iterations"] = args.max_iterations
     if args.timeout is not None:
         options["timeout_s"] = args.timeout
-    if args.no_incremental:
-        options["incremental"] = False
     if args.portfolio:
         options["portfolio"] = True
     report = run_batch(
@@ -879,8 +873,6 @@ def _cmd_fuzz(args) -> int:
         circ_options.append(("max_iterations", args.max_iterations))
     if args.timeout is not None:
         circ_options.append(("timeout_s", args.timeout))
-    if args.no_incremental:
-        circ_options.append(("incremental", False))
     config = FuzzConfig(
         gen=GenConfig(),
         max_threads=args.threads,
@@ -958,7 +950,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stats",
         action="store_true",
-        help="print solver-level profiling (per-stage queries, cache, session)",
+        help="print solver-level profiling (per-stage queries, cache, "
+        "session) and the ArgStore reuse table",
     )
     p.add_argument("--report", metavar="FILE", help="write a Markdown audit report")
     p.add_argument(
@@ -976,18 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help="per-variable wall-clock budget (UNKNOWN when hit)",
-    )
-    p.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="rebuild the ARG from scratch each iteration "
-        "(disables the persistent ArgStore)",
-    )
-    p.add_argument(
-        "--frontier",
-        choices=("bfs", "dfs", "depth"),
-        default="bfs",
-        help="worklist order for abstract exploration (default: bfs)",
     )
     p.add_argument(
         "--portfolio",
@@ -1161,11 +1142,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help="per-job wall-clock budget (UNKNOWN when hit)",
-    )
-    p.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="run every CIRC job without the persistent ArgStore",
     )
     p.add_argument(
         "--portfolio",
@@ -1369,11 +1345,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help="per-path CIRC wall-clock budget (UNKNOWN when hit)",
-    )
-    p.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="run the CIRC paths without the persistent ArgStore",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(

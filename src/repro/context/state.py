@@ -18,7 +18,7 @@ postcondition + context invariant) and context ACFA havoc moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..acfa.acfa import Acfa, AcfaEdge
 from ..cfa.cfa import CFA, Edge
@@ -26,6 +26,9 @@ from ..predabs.abstractor import Abstractor
 from ..predabs.region import Region
 from ..smt import terms as T
 from .counters import ContextState
+
+if TYPE_CHECKING:
+    from ..reach.store import ArgStore
 
 __all__ = ["AbsState", "MainMove", "CtxMove", "AbstractProgram"]
 
@@ -133,7 +136,9 @@ class AbstractProgram:
 
     # -- the abstract post operator -----------------------------------------------------
 
-    def post(self, state: AbsState, move: Move) -> AbsState | None:
+    def post(
+        self, state: AbsState, move: Move, store: ArgStore
+    ) -> AbsState | None:
         """Abstract successor; None when the successor region is empty.
 
         Location labels act at *move time*: a context move is guarded by
@@ -142,21 +147,25 @@ class AbstractProgram:
         threads do not constrain other threads' moves -- soundness comes
         from the ARG's Union over environment edges, which makes the labels
         validated by the guarantee check interference-closed.
+
+        Region posts go through ``store``'s memos, keyed independently of
+        the context, so every exploration over one store shares them.
         """
         if isinstance(move, MainMove):
             edge = move.edge
-            region = self.abstractor.post_op(state.region, edge.op)
+            region = store.post_main(self.abstractor, state.region, edge.op)
             if region.is_bottom():
                 return None
             return AbsState(edge.dst, region, state.context)
         if isinstance(move, CtxMove):
             edge = move.edge
             new_ctx = state.context.move(edge.src, edge.dst, self.k)
-            region = self.abstractor.post_havoc(
+            region = store.post_havoc(
+                self.abstractor,
                 state.region,
                 edge.havoc,
                 self.acfa.label[edge.dst],
-                source_label=self.acfa.label[edge.src],
+                self.acfa.label[edge.src],
             )
             if region.is_bottom():
                 return None

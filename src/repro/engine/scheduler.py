@@ -65,11 +65,6 @@ def _run_job_payload(
     in-process ``cache``/``book`` handles for portfolio jobs.  Fleet
     workers never pass them.
     """
-    # Imported here, not at module top: the portfolio package sits on
-    # the engine's cache/events modules, so a top-level import would
-    # close an import cycle through the engine package __init__.
-    from ..portfolio.driver import PortfolioConflict
-
     start = time.perf_counter()
     variable = payload["variable"]
     extras: dict = {}
@@ -107,18 +102,6 @@ def _run_job_payload(
             predicates=(),
             stats=CircStats(),
         )
-    except PortfolioConflict as exc:
-        # A confident disagreement between analyses is evidence of an
-        # unsoundness bug.  It must not sink the batch, but it must stay
-        # loudly visible: the verdict is UNKNOWN (never either party's
-        # claim) and the reason names the conflict for the event log.
-        result = CircUnknown(
-            variable=variable,
-            reason=f"PORTFOLIO CONFLICT: {exc.detail}",
-            predicates=(),
-            stats=CircStats(),
-        )
-        extras["conflict"] = exc.detail
     except Exception as exc:  # a verifier bug must not sink the batch
         result = CircUnknown(
             variable=variable,
@@ -157,7 +140,10 @@ def _run_portfolio_job(
     workers.  The serve daemon passes its hot ``cache``/``book``
     directly instead.
     """
-    from ..portfolio.driver import run_portfolio
+    # Imported here, not at module top: the portfolio package sits on
+    # the engine's cache/events modules, so a top-level import would
+    # close an import cycle through the engine package __init__.
+    from ..portfolio.driver import PortfolioConflict, run_portfolio
     from ..portfolio.winrate import WinRateBook
 
     cache_root = payload.get("cache_root")
@@ -165,16 +151,29 @@ def _run_portfolio_job(
         cache = ArtifactCache(cache_root)
     if book is None and cache_root:
         book = WinRateBook(os.path.join(cache_root, "winrates.json"))
-    report = run_portfolio(
-        cfa,
-        variable,
-        source=payload["source"],
-        thread=payload["thread"],
-        cache=cache,
-        winrates=book,
-        events=events,
-        **options,
-    )
+    try:
+        report = run_portfolio(
+            cfa,
+            variable,
+            source=payload["source"],
+            thread=payload["thread"],
+            cache=cache,
+            winrates=book,
+            events=events,
+            **options,
+        )
+    except PortfolioConflict as exc:
+        # A confident disagreement between analyses is evidence of an
+        # unsoundness bug.  It must not sink the batch, but it must stay
+        # loudly visible: the verdict is UNKNOWN (never either party's
+        # claim) and the reason names the conflict for the event log.
+        extras["conflict"] = exc.detail
+        return CircUnknown(
+            variable=variable,
+            reason=f"PORTFOLIO CONFLICT: {exc.detail}",
+            predicates=(),
+            stats=CircStats(),
+        )
     extras["portfolio_winner"] = report.winner
     extras["portfolio_cancelled"] = list(report.cancelled)
     extras["portfolio_ms"] = {

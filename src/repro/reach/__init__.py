@@ -1,6 +1,5 @@
-"""Incremental abstract reachability: ARG data layer, pluggable
-frontiers, the persistent cross-iteration store, and the exploration
-loop itself.
+"""Incremental abstract reachability: ARG data layer, the persistent
+cross-iteration store, and the exploration loop itself.
 
 Import surface::
 
@@ -15,14 +14,6 @@ from .arg import (
     ThreadState,
 )
 from .explore import reach_and_build
-from .frontier import (
-    FRONTIERS,
-    BfsFrontier,
-    DepthPriorityFrontier,
-    DfsFrontier,
-    Frontier,
-    make_frontier,
-)
 from .store import ArgStore, acfa_signature
 
 __all__ = [
@@ -32,12 +23,6 @@ __all__ = [
     "ArgBuilder",
     "ThreadState",
     "reach_and_build",
-    "Frontier",
-    "BfsFrontier",
-    "DfsFrontier",
-    "DepthPriorityFrontier",
-    "FRONTIERS",
-    "make_frontier",
     "ArgStore",
     "acfa_signature",
 ]

@@ -1,23 +1,24 @@
 """ReachAndBuild: abstract reachability plus ARG construction
-(Algorithms 1-4 of the paper), incremental and frontier-parametric.
+(Algorithms 1-4 of the paper) over an incremental store.
 
 The worklist reachability of the abstract multithreaded program
 ``((C, P), (A, k))`` simultaneously builds the ARG (see
 :mod:`repro.reach.arg`).  This module owns the loop itself:
 
-* the expansion order is a pluggable :class:`~repro.reach.frontier.Frontier`
-  (BFS by default -- identical to the historical generational order);
-* when an :class:`~repro.reach.store.ArgStore` is supplied, abstract posts
-  are served from its context-independent memos and whole runs whose input
+* the worklist is a FIFO queue, so states expand in breadth-first order;
+* every exploration runs through an :class:`~repro.reach.store.ArgStore`
+  (a fresh one when the caller passes none): abstract posts are served
+  from its context-independent memos, and whole runs whose input
   signature was seen before return without exploring;
-* the wall-clock ``deadline`` is honored on every frontier pop, including
+* the wall-clock ``deadline`` is honored on every worklist pop, including
   runs resumed over a warm store -- an expired deadline raises before any
-  memo can answer, matching the scratch path's budget contract.
+  memo can answer.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 
 from ..acfa.acfa import AcfaEdge
 from ..context.counters import OMEGA, ContextState
@@ -28,7 +29,6 @@ from .arg import (
     ReachBudgetExceeded,
     ReachResult,
 )
-from .frontier import make_frontier
 from .store import ArgStore, acfa_signature
 
 __all__ = ["reach_and_build"]
@@ -40,7 +40,6 @@ def _run_signature(
     check_errors: bool,
     omega_start: bool,
     max_states: int,
-    frontier: str,
     arg_name: str,
 ) -> tuple:
     """The complete input signature of one reachability run.
@@ -49,7 +48,7 @@ def _run_signature(
     spaces in identical order and therefore produce identical results --
     the deadline is deliberately excluded: serving a memoized result
     never takes longer than recomputing it, so a cached answer is always
-    within any budget the scratch run would have met.
+    within any budget the exploration would have met.
     """
     return (
         program.abstractor.mode,
@@ -60,7 +59,6 @@ def _run_signature(
         check_errors,
         omega_start,
         max_states,
-        frontier,
         arg_name,
     )
 
@@ -74,7 +72,6 @@ def reach_and_build(
     deadline: float | None = None,
     arg_name: str = "arg",
     store: ArgStore | None = None,
-    frontier: str = "bfs",
 ) -> ReachResult:
     """Compute abstract reachability; build the ARG (Algorithm 1).
 
@@ -83,29 +80,29 @@ def reach_and_build(
     state budget -- or the optional ``deadline``, an absolute
     :func:`time.perf_counter` instant -- runs out.
 
-    ``store`` enables incremental reuse across calls; ``frontier`` selects
-    the worklist order (``"bfs"``, ``"dfs"``, or ``"depth"``).
+    ``store`` carries reuse across calls; without one the exploration
+    runs through a fresh store.
     """
     if deadline is not None and time.perf_counter() > deadline:
         raise ReachBudgetExceeded("wall-clock deadline exceeded")
 
-    if store is not None:
-        store.bind_cfa(program.cfa)
-        sig = _run_signature(
-            program,
-            race_on,
-            check_errors,
-            omega_start,
-            max_states,
-            frontier,
-            arg_name,
-        )
-        hit = store.lookup_result(sig)
-        if hit is not None:
-            if hit[0] == "race":
-                _, trace, state = hit
-                raise AbstractRaceFound(list(trace), state)
-            return hit[1]
+    if store is None:
+        store = ArgStore()
+    store.bind_cfa(program.cfa)
+    sig = _run_signature(
+        program,
+        race_on,
+        check_errors,
+        omega_start,
+        max_states,
+        arg_name,
+    )
+    hit = store.lookup_result(sig)
+    if hit is not None:
+        if hit[0] == "race":
+            _, trace, state = hit
+            raise AbstractRaceFound(list(trace), state)
+        return hit[1]
 
     cfa = program.cfa
     builder = ArgBuilder(cfa, program.abstractor.preds)
@@ -116,31 +113,6 @@ def reach_and_build(
         if check_errors and s.pc in cfa.error_locations:
             return True
         return False
-
-    def post(state: AbsState, move: Move) -> AbsState | None:
-        """``program.post`` routed through the store's memos when present."""
-        if store is None:
-            return program.post(state, move)
-        if isinstance(move, MainMove):
-            edge = move.edge
-            region = store.post_main(
-                program.abstractor, state.region, edge.op
-            )
-            if region.is_bottom():
-                return None
-            return AbsState(edge.dst, region, state.context)
-        edge = move.edge
-        new_ctx = state.context.move(edge.src, edge.dst, program.k)
-        region = store.post_havoc(
-            program.abstractor,
-            state.region,
-            edge.havoc,
-            program.acfa.label[edge.dst],
-            program.acfa.label[edge.src],
-        )
-        if region.is_bottom():
-            return None
-        return AbsState(state.pc, region, new_ctx)
 
     init = program.initial(omega_start=omega_start)
     builder.set_initial(init.thread_state())
@@ -197,8 +169,7 @@ def reach_and_build(
         return moves
 
     def found_race(trace: list[Move], state: AbsState):
-        if store is not None:
-            store.store_result(sig, ("race", tuple(trace), state))
+        store.store_result(sig, ("race", tuple(trace), state))
         return AbstractRaceFound(trace, state)
 
     if is_bad(init):
@@ -207,11 +178,10 @@ def reach_and_build(
     reachable_contexts: set[ContextState] = {init.context}
     enabled_ctx: dict[int, set[AcfaEdge]] = {}
 
-    worklist = make_frontier(frontier)
-    worklist.push(init, 0)
+    worklist: deque[AbsState] = deque([init])
     explored = 1
     while worklist:
-        state, depth = worklist.pop()
+        state = worklist.popleft()
         if deadline is not None and time.perf_counter() > deadline:
             raise ReachBudgetExceeded("wall-clock deadline exceeded")
         src_ts = state.thread_state()
@@ -219,7 +189,7 @@ def reach_and_build(
         for move in program.enabled_moves(state):
             if isinstance(move, CtxMove):
                 enabled_ctx.setdefault(src_loc, set()).add(move.edge)
-            nxt = post(state, move)
+            nxt = program.post(state, move, store)
             if nxt is None:
                 continue
             # Connect regardless of whether the state was seen: the
@@ -241,7 +211,7 @@ def reach_and_build(
                 raise ReachBudgetExceeded(
                     f"more than {max_states} abstract states"
                 )
-            worklist.push(nxt, depth + 1)
+            worklist.append(nxt)
 
     arg, provenance = builder.export(arg_name)
     # Recompute per-export-location data.
@@ -269,6 +239,5 @@ def reach_and_build(
         enabled_ctx_edges=enabled_renumed,
         state_location=state_location,
     )
-    if store is not None:
-        store.store_result(sig, ("ok", result))
+    store.store_result(sig, ("ok", result))
     return result

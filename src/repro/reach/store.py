@@ -38,9 +38,11 @@ on demand if (and only if) the refined exploration reaches them again.
 Nodes are therefore kept iff untouched by the new predicates; the
 re-seeded worklist pays SMT only below the refined frontier.
 
-Every memo value is a pure function of its key, so incremental
-exploration computes byte-identical verdicts to scratch exploration
-(the differential fuzzer referees this).
+Every memo value is a pure function of its key, so exploring through
+the store computes exactly what recomputing every post would.  The
+evidence is semantic: the differential fuzzer's explicit-state oracle,
+replayed witnesses, and a property test that checks recorded supports
+and invalidation against structural walks.
 """
 
 from __future__ import annotations

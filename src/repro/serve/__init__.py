@@ -19,22 +19,3 @@ keeps all of it hot in one long-lived process:
 * :mod:`repro.serve.client` -- the protocol client
   (``repro-race submit``) used by tests, the benchmark, and humans.
 """
-
-from .client import ServeClient, ServeError, submit_sync
-from .jobs import ClientBudget, JobManager
-from .protocol import PROTOCOL, ErrorCode
-from .server import RaceServer, ServeConfig
-from .state import HotState
-
-__all__ = [
-    "ClientBudget",
-    "ErrorCode",
-    "HotState",
-    "JobManager",
-    "PROTOCOL",
-    "RaceServer",
-    "ServeClient",
-    "ServeConfig",
-    "ServeError",
-    "submit_sync",
-]

@@ -302,11 +302,12 @@ class JobManager:
         serve_job.future = self.executor.submit(
             self._execute, serve_job
         )
-        serve_job.future.add_done_callback(
-            lambda fut: self.loop.call_soon_threadsafe(
-                self._job_done, serve_job, fut
-            )
-        )
+        # Reach the loop the way run_in_executor delivers a finished plan,
+        # so the loop handles pool results in the order the pool finished
+        # them: a request planned before this job finished attaches to it
+        # in flight instead of finding its completed record.
+        done = asyncio.wrap_future(serve_job.future, loop=self.loop)
+        done.add_done_callback(lambda fut: self._job_done(serve_job, fut))
 
     # -- execution (worker thread) -------------------------------------------
 

@@ -90,8 +90,6 @@ ALLOWED_OPTIONS = frozenset(
         "k",
         "max_iterations",
         "timeout_s",
-        "incremental",
-        "frontier",
     }
 )
 

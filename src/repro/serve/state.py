@@ -8,9 +8,9 @@ preserve across requests:
   of ``(source, thread)``.  The store memoizes abstract posts, omega
   checks, and whole reachability results, so re-verifying a previously
   seen program costs hash lookups instead of SMT
-  (BENCH_incremental.json: 14.5x).  The store resets when bound to a
-  *different CFA object*, which is exactly why the CFA is cached
-  alongside it.
+  (BENCH_incremental.json: 79x over the cold pass).  The store resets
+  when bound to a *different CFA object*, which is exactly why the CFA
+  is cached alongside it.
 * **The SMT query cache** (:data:`repro.smt.qcache.SAT_CACHE`): loaded
   from the artifact root's warm tier at startup and spilled back
   incrementally (every ``qcache_flush_every`` stores and on drain), so

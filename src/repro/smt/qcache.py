@@ -182,18 +182,16 @@ def literal_key(lit: Term) -> tuple[tuple[str, ...], tuple[object, ...]]:
 
 # -- canonical-id alias tier --------------------------------------------------
 #
-# With hash-consing on, a conjunction of interned literals is identified by
-# the tuple of its members' intern ids -- a handful of small ints instead of
-# re-deriving and sorting the normalized s-expression strings per literal.
-# The alias tier maps that compact id key to the canonical *string* key it
-# was first resolved to, so repeat queries skip the normalization entirely
-# while the persistent warm tier keeps its process-independent string keys.
+# A conjunction of interned literals is identified by the tuple of its
+# members' intern ids -- a handful of small ints instead of re-deriving and
+# sorting the normalized s-expression strings per literal.  The alias tier
+# maps that compact id key to the canonical *string* key it was first
+# resolved to, so repeat queries skip the normalization entirely while the
+# persistent warm tier keeps its process-independent string keys.
 #
 # The tier is a plain memo of a deterministic computation: it never touches
-# the verdict cache's hit/miss counters, and with interning off (tids are
-# None) it is bypassed completely -- so cache statistics are identical
-# between the interned and structural modes, which the differential
-# harness asserts.
+# the verdict cache's hit/miss counters, and a conjunction holding a literal
+# from an older intern generation bypasses it completely.
 
 #: (intern generation, sorted intern-id tuple) -> canonical string key.
 _alias_memo: dict[tuple, tuple[str, ...]] = {}
@@ -202,19 +200,18 @@ _alias_memo: dict[tuple, tuple[str, ...]] = {}
 def conjunction_idkey(literals: Sequence[Term]) -> tuple | None:
     """Compact intern-id key of a literal conjunction, or None.
 
-    Returns ``None`` when any literal is not interned (structural mode or
-    foreign construction), in which case callers fall back to the string
-    path unconditionally.
+    Returns ``None`` when any literal was interned before the last
+    :func:`~repro.smt.terms.clear_intern_table`, in which case callers
+    fall back to the string path unconditionally.
     """
     from .terms import intern_generation
 
     gen = intern_generation()
     tids = set()
     for lit in literals:
-        tid = getattr(lit, "_tid", None)
-        if tid is None or lit._gen != gen:
+        if lit._gen != gen:
             return None
-        tids.add(tid)
+        tids.add(lit._tid)
     return (gen, tuple(sorted(tids)))
 
 

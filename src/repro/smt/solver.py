@@ -282,11 +282,10 @@ def is_sat_conjunction(literals: Sequence[Term]) -> bool:
     region hit the same entry, across every caller in the process.
     """
     t0 = time.perf_counter()
-    # With interning on, a previously seen conjunction resolves its
-    # canonical string key through the compact intern-id alias instead of
-    # re-normalizing every literal.  The alias is a pure memo: exactly one
-    # SAT_CACHE lookup happens either way, so cache counters are
-    # identical with and without interning.
+    # A previously seen conjunction resolves its canonical string key
+    # through the compact intern-id alias instead of re-normalizing every
+    # literal.  The alias is a pure memo: exactly one SAT_CACHE lookup
+    # happens either way, so it never moves the cache counters.
     idkey = conjunction_idkey(literals)
     key = alias_key(idkey) if idkey is not None else None
     if key is None:
@@ -407,8 +406,8 @@ class ConjunctionContext:
         self._diseqs = diseqs
         self._uf_active = uf_unions > 0
         self._fm: lia.IncrementalFM | None = None
-        #: literal -> (canonical key, normalized extra parts); with
-        #: interning on the lookup is a pointer-hash dict hit.
+        #: literal -> (canonical key, normalized extra parts); the
+        #: lookup is a pointer-hash dict hit on interned terms.
         self._key_memo: dict[Term, tuple] = {}
 
     def _canon_le(self, part: LinLe) -> LinLe:

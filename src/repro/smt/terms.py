@@ -16,12 +16,10 @@ time, and the traversals that dominate the verifier's hot path
 Unpickling re-interns bottom-up through ``__reduce__``, so pointer identity
 survives the scheduler's and serve daemon's process boundaries.
 
-The structural-equality path is preserved behind :func:`set_interning` for
-the differential test harness (``tests/smt/test_hashcons_differential.py``):
-with interning off, constructors return fresh nodes and ``__eq__`` falls
-back to comparing ``key()`` tuples, exactly as before the intern table
-existed.  Mixing terms from both modes is safe -- the identity fast path is
-taken only between two terms interned in the same table generation.
+:func:`clear_intern_table` starts a new table generation.  Terms from an
+older generation stay valid: the identity fast path is taken only between
+two terms of the same generation, and ``__eq__`` falls back to comparing
+``key()`` tuples across generations.
 
 :class:`UnionFind` provides the canonicalizer for terms unified during
 inference (path compression + union by rank, after thorin's
@@ -76,8 +74,6 @@ __all__ = [
     "evaluate",
     "atoms",
     "is_atom",
-    "set_interning",
-    "interning_enabled",
     "intern_generation",
     "intern_stats",
     "clear_intern_table",
@@ -87,43 +83,21 @@ __all__ = [
 class _InternState:
     """The per-process intern table and its bookkeeping."""
 
-    __slots__ = ("table", "generation", "counter", "interning", "lock")
+    __slots__ = ("table", "generation", "counter", "lock")
 
     def __init__(self) -> None:
         self.table: dict[tuple, "Term"] = {}
-        #: Bumped on :func:`clear_intern_table`; generation 0 is reserved
-        #: for non-interned (structural-mode) terms.
+        #: Bumped on :func:`clear_intern_table`.
         self.generation = 1
         self.counter = itertools.count(1)
-        self.interning = True
         self.lock = threading.Lock()
 
 
 _INTERN = _InternState()
 
 
-def set_interning(enabled: bool) -> bool:
-    """Switch hash-consing on or off; returns the previous setting.
-
-    Turning interning off preserves the historical structural-equality
-    behavior (fresh node per constructor call).  Existing interned terms
-    stay valid either way; only *new* constructions are affected.  Meant
-    for the differential harness and benchmarks -- production code never
-    toggles this.
-    """
-    prev = _INTERN.interning
-    _INTERN.interning = bool(enabled)
-    if prev != _INTERN.interning:
-        _SUBST_MEMO.clear()
-    return prev
-
-
-def interning_enabled() -> bool:
-    return _INTERN.interning
-
-
 def intern_generation() -> int:
-    """The live table generation (0 never occurs; see ``Term._gen``)."""
+    """The live table generation (see ``Term._gen``)."""
     return _INTERN.generation
 
 
@@ -132,7 +106,6 @@ def intern_stats() -> dict:
     return {
         "size": len(_INTERN.table),
         "generation": _INTERN.generation,
-        "interning": _INTERN.interning,
     }
 
 
@@ -163,10 +136,6 @@ class _TermMeta(type):
     def __call__(cls, *args, **kwargs):
         self = super().__call__(*args, **kwargs)
         state = _INTERN
-        if not state.interning:
-            object.__setattr__(self, "_gen", 0)
-            object.__setattr__(self, "_tid", None)
-            return self
         key = self.key()
         canonical = state.table.get(key)
         if canonical is not None:
@@ -186,21 +155,16 @@ class Term(metaclass=_TermMeta):
         raise NotImplementedError
 
     @property
-    def tid(self) -> int | None:
-        """The intern id: a process-unique integer for interned terms.
+    def tid(self) -> int:
+        """The intern id: a process-unique integer.
 
-        ``None`` for terms built with interning disabled.  Together with
-        :func:`intern_generation` this forms the compact canonical-id
-        cache keys used by :mod:`repro.smt.qcache`.
+        Together with :func:`intern_generation` this forms the compact
+        canonical-id cache keys used by :mod:`repro.smt.qcache`.
         """
         return self._tid
 
     def __hash__(self) -> int:
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(self.key())
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -209,8 +173,7 @@ class Term(metaclass=_TermMeta):
             return NotImplemented
         # Two distinct objects interned in the same table generation are
         # structurally distinct by construction -- equality is identity.
-        g = self._gen
-        if g and g == other._gen:
+        if self._gen == other._gen:
             return False
         return type(self) is type(other) and self.key() == other.key()
 
@@ -686,7 +649,7 @@ def transform(t: Term, fn: Callable[[Term], Term | None]) -> Term:
 
 #: Bounded global memo for :func:`substitute`, keyed by the target term
 #: and the (name-sorted) mapping items.  Cleared wholesale at the limit
-#: and whenever the interning mode flips, so entries never cross modes.
+#: and on :func:`clear_intern_table`.
 _SUBST_MEMO: dict[tuple, Term] = {}
 _SUBST_MEMO_LIMIT = 100_000
 

@@ -1,11 +1,8 @@
-"""Incremental vs. scratch CIRC must be observationally identical.
+"""A warm ArgStore is a pure accelerator across repeated CIRC runs.
 
-The incremental engine (persistent :class:`ArgStore` with subtree
-invalidation and context-weakening reuse) is a pure acceleration layer:
-on every program it must return the same verdict, the same discovered
-predicates, and a stats-compatible exploration as a from-scratch run.
-These properties drive both paths over randomly generated programs and
-compare everything a caller can observe.
+Re-verifying a program against the store its first run filled must
+return the same verdict, the same discovered predicates, and the same
+exploration statistics, while answering from the store's result memo.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +15,7 @@ from repro.lang.lower import lower_thread
 from repro.reach import ArgStore
 
 SETTINGS = dict(
-    max_examples=25,
+    max_examples=10,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -55,42 +52,6 @@ def _observables(result):
 
 @settings(**SETTINGS)
 @given(seeds)
-def test_incremental_matches_scratch(seed):
-    gp = generate(seed, GenConfig(pointers=False))
-    cfa = lower_thread(gp.program, gp.thread)
-    scratch = _run(cfa, gp.race_var, incremental=False)
-    incremental = _run(cfa, gp.race_var, incremental=True)
-    if scratch is None or incremental is None:
-        assert type(scratch) is type(incremental)
-        return
-    assert _observables(incremental) == _observables(scratch)
-    # Only the incremental run carries reuse telemetry.
-    assert scratch.stats.reuse is None
-    if type(incremental).__name__ != "CircUnknown":
-        assert incremental.stats.reuse is not None
-
-
-@settings(**SETTINGS)
-@given(seeds)
-def test_frontier_strategies_never_contradict(seed):
-    """A different worklist order surfaces a different abstract race
-    first, so refinement mines different predicates and may diverge to
-    UNKNOWN where BFS converges (or vice versa).  What frontiers must
-    never do is *contradict* each other: both definite verdicts agree."""
-    gp = generate(seed, GenConfig(pointers=False))
-    cfa = lower_thread(gp.program, gp.thread)
-    bfs = _run(cfa, gp.race_var, frontier="bfs")
-    dfs = _run(cfa, gp.race_var, frontier="dfs")
-    if bfs is None or dfs is None:
-        return
-    definite = (CircSafe, CircUnsafe)
-    if isinstance(bfs, definite) and isinstance(dfs, definite):
-        assert type(bfs).__name__ == type(dfs).__name__
-
-
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(seeds)
 def test_shared_store_across_repeated_runs_is_stable(seed):
     """Re-verifying the same program against a warm store changes
     nothing observable and reports result-level reuse."""
@@ -102,5 +63,4 @@ def test_shared_store_across_repeated_runs_is_stable(seed):
     if first is None or second is None:
         return
     assert _observables(second) == _observables(first)
-    if second.stats.reuse is not None:
-        assert second.stats.reuse["result_hits"] > 0
+    assert second.stats.reuse["result_hits"] > 0

@@ -46,7 +46,7 @@ def test_omega_variant_atomic_only():
 
 def test_omega_check_empty_context():
     from repro.acfa.acfa import empty_acfa
-    from repro.reach import reach_and_build
+    from repro.reach import ArgStore, reach_and_build
     from repro.context.state import AbstractProgram
     from repro.predabs.abstractor import Abstractor
     from repro.predabs.region import PredicateSet
@@ -54,7 +54,7 @@ def test_omega_check_empty_context():
     cfa = lower_source("global int g; thread t { g = 1; }")
     prog = AbstractProgram(cfa, Abstractor(PredicateSet()), empty_acfa(), 1)
     reach = reach_and_build(prog)
-    assert omega_check(reach, empty_acfa(), cfa, 1)
+    assert omega_check(reach, empty_acfa(), cfa, 1, ArgStore())
 
 
 def test_omega_and_circ_agree_across_suite():

@@ -6,6 +6,7 @@ from repro.context.state import AbstractProgram, CtxMove, MainMove
 from repro.lang import lower_source
 from repro.predabs.abstractor import Abstractor
 from repro.predabs.region import PredicateSet
+from repro.reach import ArgStore
 from repro.smt import terms as T
 
 SRC = """
@@ -73,7 +74,7 @@ def test_atomic_main_excludes_context():
     s = p.initial()
     # Drive main into the atomic section.
     (entry,) = [m for m in p.enabled_moves(s) if isinstance(m, MainMove)]
-    s1 = p.post(s, entry)
+    s1 = p.post(s, entry, ArgStore())
     assert p.cfa.is_atomic(s1.pc)
     moves = list(p.enabled_moves(s1))
     assert all(isinstance(m, MainMove) for m in moves)
@@ -98,7 +99,7 @@ def test_post_context_havoc_weakens():
         for m in p.enabled_moves(s)
         if isinstance(m, CtxMove) and m.edge.src == 0
     ]
-    s1 = p.post(s, ctx_move)
+    s1 = p.post(s, ctx_move, ArgStore())
     assert s1 is not None
     # g==0 forgotten; target label g==1 forces not (g==0).
     idx0 = p.abstractor.preds.index(g0)
@@ -117,16 +118,16 @@ def test_post_context_respects_target_label_contradiction():
         for m in p.enabled_moves(s)
         if isinstance(m, CtxMove) and m.edge.src == 0
     ]
-    s1 = p.post(s, ctx_move)
+    s1 = p.post(s, ctx_move, ArgStore())
     # Main's atomic-entry edge then assume(g==0) must be pruned: a context
     # thread sits at location 1 labeled g==1.
     (entry,) = [m for m in p.enabled_moves(s1) if isinstance(m, MainMove)]
-    s2 = p.post(s1, entry)
+    s2 = p.post(s1, entry, ArgStore())
     assert s2 is not None
     (assume_move,) = [
         m for m in p.enabled_moves(s2) if isinstance(m, MainMove)
     ]
-    s3 = p.post(s2, assume_move)
+    s3 = p.post(s2, assume_move, ArgStore())
     assert s3 is None  # g==0 against the g==1 invariant
 
 

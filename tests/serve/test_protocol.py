@@ -98,6 +98,22 @@ def test_validate_submit_normalizes():
             {"id": "r", "items": [{"source": "x"}], "options": {"jobs": 9}},
             "disallowed",
         ),
+        (
+            {
+                "id": "r",
+                "items": [{"source": "x"}],
+                "options": {"incremental": False},
+            },
+            "disallowed",
+        ),
+        (
+            {
+                "id": "r",
+                "items": [{"source": "x"}],
+                "options": {"frontier": "dfs"},
+            },
+            "disallowed",
+        ),
     ],
 )
 def test_validate_submit_rejects(frame, fragment):

@@ -237,3 +237,29 @@ def test_workers_import_repro_without_pythonpath(tmp_path, monkeypatch):
     assert not [
         e for e in events.of_kind("job_started") if e.get("mode") == "serial"
     ]
+
+
+def test_worker_import_leaves_the_serve_daemon_unloaded():
+    """The worker frames jobs with ``repro.serve.protocol`` alone: a
+    fresh import of it loads neither asyncio nor the daemon's modules."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    probe = (
+        "import sys, repro.shard.worker; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'asyncio' or m.startswith('repro.serve')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["['repro.serve',", "'repro.serve.protocol']"]

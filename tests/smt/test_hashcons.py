@@ -14,7 +14,7 @@ oracle:
 * **union-find laws** -- find/union agree with a naive partition oracle,
   and ``find`` compresses the path it walked;
 * **memoized traversals** -- ``free_vars``/``atoms``/``substitute``
-  agree with from-scratch recomputation (structural-mode runs and a
+  agree with from-scratch recomputation (unmemoized walks and a
   semantic evaluation oracle).
 """
 
@@ -89,34 +89,6 @@ def deep_rebuild(t: T.Term) -> T.Term:
 @given(terms)
 def test_building_twice_yields_the_same_object(t):
     assert deep_rebuild(t) is t
-
-
-@settings(**SETTINGS)
-@given(terms)
-def test_structural_mode_builds_fresh_but_equal_nodes(t):
-    prev = T.set_interning(False)
-    try:
-        a = deep_rebuild(t)
-        b = deep_rebuild(t)
-    finally:
-        T.set_interning(prev)
-    assert a == b
-    assert a is not b
-    assert a.tid is None and b.tid is None
-    # Cross-mode comparison falls back to structural equality.
-    assert a == t and t == a
-
-
-@settings(**SETTINGS)
-@given(terms)
-def test_hash_agrees_across_modes(t):
-    prev = T.set_interning(False)
-    try:
-        a = deep_rebuild(t)
-    finally:
-        T.set_interning(prev)
-    assert hash(a) == hash(t)
-    assert len({a, t}) == 1
 
 
 @settings(**SETTINGS)
@@ -293,19 +265,40 @@ def test_substitute_matches_semantic_oracle(t, const_map, fill):
     assert T.evaluate(out, env) == T.evaluate(t, subst_env)
 
 
+_SMART = {
+    T.And: T.and_,
+    T.Or: T.or_,
+    T.Not: T.not_,
+    T.Implies: T.implies,
+    T.Iff: T.iff,
+}
+
+
+def _scratch_substitute(t, mapping):
+    """Unmemoized substitution without free-variable pruning: a node is
+    rebuilt, with the constructors the verifier uses, only when one of
+    its children changed."""
+    if isinstance(t, T.Var):
+        return mapping.get(t.name, t)
+    kids = T.children(t)
+    new = [_scratch_substitute(k, mapping) for k in kids]
+    if new == list(kids):
+        return t
+    if isinstance(t, T.Cmp):
+        return T.Cmp(t.op, *new)
+    if isinstance(t, T.Add):
+        return T.Add(tuple(new))
+    return _SMART.get(type(t), type(t))(*new)
+
+
 @settings(**SETTINGS)
 @given(terms, subst_maps)
 def test_substitute_matches_structural_mode_recomputation(t, const_map):
-    mapping = {k: T.num(v) for k, v in const_map.items()}
-    memoized = T.substitute(t, mapping)
-    # set_interning flushes the substitution memo, so the structural run
-    # recomputes from scratch; cross-mode == is structural equality.
-    prev = T.set_interning(False)
-    try:
-        scratch = T.substitute(t, mapping)
-    finally:
-        T.set_interning(prev)
-    assert memoized == scratch
+    # Two mappings over the same names: a memo that forgot the values
+    # would answer the second from the first.
+    for shift in (0, 1):
+        mapping = {k: T.num(v + shift) for k, v in const_map.items()}
+        assert T.substitute(t, mapping) == _scratch_substitute(t, mapping)
 
 
 @settings(**SETTINGS)
@@ -356,6 +349,8 @@ def test_unpickling_reinterns_after_table_clear():
         restored = pickle.loads(blob)
         assert restored is not t  # new generation, new canonical object
         assert restored == t  # cross-generation equality is structural
+        assert hash(restored) == hash(t)
+        assert len({restored, t}) == 1
         assert restored is pickle.loads(blob)
     finally:
         T.clear_intern_table()
