@@ -9,13 +9,27 @@ The pipeline is:
 
 1. **Gaussian elimination** of equalities (each equality either defines a
    variable, which is substituted everywhere, or degenerates to a constant).
-2. **Fourier-Motzkin elimination** over the rationals for the remaining
-   inequalities.  Each derived constraint carries a *Farkas combination* --
-   the multipliers over input constraints that produce it -- which yields
-   unsat cores and Craig interpolants for free.
+2. **Fourier-Motzkin elimination** of the remaining inequalities.  Each
+   derived constraint carries a *Farkas combination* -- the multipliers
+   over input constraints that produce it -- which yields unsat cores and
+   Craig interpolants for free.
 3. **Model construction** by back-substitution, preferring integer values;
    if the rational model cannot be repaired to an integer one directly, a
    bounded **branch-and-bound** split completes the integer search.
+
+Elimination is exact and *fraction-free*.  A working row holds integer
+coefficients, an integer constant, an integer Farkas combination and one
+positive integer *scale*; it stands for the rational constraint it equals
+when divided by its scale.  A Gaussian step multiplies the target row by
+the pivot's magnitude instead of dividing by the pivot, and multiplies its
+scale by the same amount; an FM step combines two rows as usual and
+multiplies their scales.  A rational input row enters scaled by the lcm of
+its denominators.  Sign tests, the pivot and victim choices, bounds and
+models never depend on a row's scale (the one rule that looks at a
+coefficient's size, "prefer a +-1 pivot", compares it with the scale), so
+the results are exactly those of elimination over the rationals.
+``Fraction`` appears only in model back-substitution and in the returned
+Farkas multipliers (combination / scale).
 
 The procedure is sound and complete for QF_LIA conjunctions (branch-and-bound
 depth permitting; the verifier's constraints are shallow and near-unimodular,
@@ -26,13 +40,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .linear import LinEq, LinExpr, LinLe
 
 __all__ = [
     "LiaResult",
-    "IncrementalFM",
     "solve_conjunction",
     "implies_conjunction",
 ]
@@ -81,26 +94,74 @@ class LiaResult:
         return f"LiaResult(unsat, core={sorted(self.core or ())})"
 
 
-class _Ineq:
-    """A working inequality ``expr <= 0`` with its Farkas provenance."""
+class _Row:
+    """A working constraint ``coeffs . x + const`` (``<= 0`` or ``== 0``).
 
-    __slots__ = ("expr", "comb")
+    Coefficients, constant and the Farkas combination ``comb`` (input
+    index -> multiplier) are integers; the rational constraint the row
+    stands for is the row divided by ``scale``, a positive integer.  The
+    procedure never mutates a row's dicts, so an input row may share its
+    coefficient map with the :class:`LinExpr` it came from.
+    """
 
-    def __init__(self, expr: LinExpr, comb: dict[int, Fraction]):
-        self.expr = expr
+    __slots__ = ("coeffs", "const", "comb", "scale")
+
+    def __init__(
+        self, coeffs: dict[str, int], const: int, comb: dict[int, int], scale: int
+    ):
+        self.coeffs = coeffs
+        self.const = const
         self.comb = comb
+        self.scale = scale
 
 
-def _comb_add(a: Mapping[int, Fraction], b: Mapping[int, Fraction], scale_b=1):
-    out = dict(a)
-    scale_b = Fraction(scale_b)
-    for idx, c in b.items():
-        val = out.get(idx, Fraction(0)) + c * scale_b
-        if val == 0:
-            out.pop(idx, None)
+def _input_row(index: int, expr: LinExpr) -> _Row:
+    """The integer row of input ``index``, scaled by its denominators' lcm."""
+    coeffs = expr.coeffs
+    const = expr.const
+    if type(const) is int and all(type(c) is int for c in coeffs.values()):
+        return _Row(coeffs, const, {index: 1}, 1)
+    scale = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
+    return _Row(
+        {name: int(c * scale) for name, c in coeffs.items()},
+        int(const * scale),
+        {index: scale},
+        scale,
+    )
+
+
+def _combine(a: _Row, fa: int, b: _Row, fb: int, scale: int) -> _Row:
+    """The row ``fa*a + fb*b`` on ``scale``; zero entries are dropped."""
+    coeffs = {name: c * fa for name, c in a.coeffs.items()}
+    for name, c in b.coeffs.items():
+        v = coeffs.get(name, 0) + c * fb
+        if v:
+            coeffs[name] = v
         else:
-            out[idx] = val
-    return out
+            del coeffs[name]
+    comb = {idx: c * fa for idx, c in a.comb.items()}
+    for idx, c in b.comb.items():
+        v = comb.get(idx, 0) + c * fb
+        if v:
+            comb[idx] = v
+        else:
+            del comb[idx]
+    return _Row(coeffs, a.const * fa + b.const * fb, comb, scale)
+
+
+def _refutation(row: _Row, eq_indices: set[int], farkas: bool = True) -> LiaResult:
+    """The unsat result a contradictory row certifies."""
+    comb = row.comb
+    return LiaResult(
+        "unsat",
+        core=frozenset(comb),
+        farkas=(
+            {idx: Fraction(c, row.scale) for idx, c in comb.items()}
+            if farkas
+            else None
+        ),
+        all_equalities=all(idx in eq_indices for idx in comb),
+    )
 
 
 def solve_conjunction(constraints: Sequence[LinLe | LinEq]) -> LiaResult:
@@ -145,146 +206,110 @@ def _solve(constraints: list[LinLe | LinEq], depth: int) -> LiaResult:
             f"integer branch-and-bound exceeded depth {MAX_BRANCH_DEPTH}"
         )
 
-    # Phase 1: Gaussian elimination of equalities.  ``defs`` records, in
-    # order, (var, definition LinExpr) pairs used for back-substitution.
-    ineqs: list[_Ineq] = []
-    eqs: list[_Ineq] = []
+    ineqs: list[_Row] = []
+    pending: list[_Row] = []
+    eq_indices: set[int] = set()
     for i, c in enumerate(constraints):
-        work = _Ineq(c.expr, {i: Fraction(1)})
         if isinstance(c, LinEq):
-            eqs.append(work)
+            pending.append(_input_row(i, c.expr))
+            eq_indices.add(i)
         elif isinstance(c, LinLe):
-            ineqs.append(work)
+            ineqs.append(_input_row(i, c.expr))
         else:
             raise TypeError(f"unknown constraint {c!r}")
 
-    eq_indices = {
-        i for i, c in enumerate(constraints) if isinstance(c, LinEq)
-    }
-    defs: list[tuple[str, LinExpr]] = []
-
-    pending = list(eqs)
+    # Phase 1: Gaussian elimination of equalities.  ``defs`` records, in
+    # order, (var, defining row's coefficients, constant, pivot) for
+    # back-substitution.
+    defs: list[tuple[str, dict[str, int], int, int]] = []
     while pending:
         eq = pending.pop()
-        if eq.expr.is_const():
-            if eq.expr.const != 0:
-                comb = eq.comb
-                all_eq = all(idx in eq_indices for idx in comb)
-                return LiaResult(
-                    "unsat",
-                    core=frozenset(comb),
-                    farkas=dict(comb),
-                    all_equalities=all_eq,
-                )
+        coeffs = eq.coeffs
+        if not coeffs:
+            if eq.const != 0:
+                return _refutation(eq, eq_indices)
             continue
-        # Integer infeasibility (GCD test): scale to integer coefficients;
-        # if the gcd of the variable coefficients does not divide the
-        # constant, the equality has no integer solution (e.g.
-        # 2x + 2y + 1 == 0).  Without this, branch-and-bound can diverge.
-        denom = 1
-        for c in list(eq.expr.coeffs.values()) + [eq.expr.const]:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        g = 0
-        for c in eq.expr.coeffs.values():
-            g = math.gcd(g, abs(int(c * denom)))
-        if g and int(eq.expr.const * denom) % g != 0:
-            comb = eq.comb
-            all_eq = all(idx in eq_indices for idx in comb)
-            return LiaResult(
-                "unsat",
-                core=frozenset(comb),
-                farkas=None,  # integrality argument, not a Farkas witness
-                all_equalities=all_eq,
-            )
-        # Pick the variable with the simplest coefficient to define.
-        name = min(eq.expr.coeffs, key=lambda n: (abs(eq.expr.coeffs[n]) != 1, n))
-        a = eq.expr.coeffs[name]
-        # name = -(expr - a*name)/a
-        rest = eq.expr + LinExpr({name: -a})
-        definition = rest.scale(Fraction(-1, 1) / a)
-        defs.append((name, definition))
+        # Integer infeasibility (GCD test): if the gcd of the variable
+        # coefficients does not divide the constant, the equality has no
+        # integer solution (e.g. 2x + 2y + 1 == 0).  Without this,
+        # branch-and-bound can diverge.  Scaling a row by a positive
+        # integer does not change the outcome.
+        if eq.const % math.gcd(*coeffs.values()):
+            # Integrality argument, not a Farkas witness.
+            return _refutation(eq, eq_indices, farkas=False)
+        # Pick the variable with the simplest coefficient to define: a
+        # rational coefficient of +-1 is an integer one equal to +-scale.
+        scale = eq.scale
+        name = min(coeffs, key=lambda n: (abs(coeffs[n]) != scale, n))
+        a = coeffs[name]
+        defs.append((name, coeffs, eq.const, a))
+        # Eliminate ``name`` from a row with coefficient b on it: the row
+        # |a|*row - sign(a)*b*eq on scale |a|*row.scale equals the
+        # rational row - (b/a)*eq.
+        m = abs(a)
 
-        def subst(target: _Ineq) -> _Ineq:
-            b = target.expr.coeff(name)
-            if b == 0:
+        def subst(target: _Row) -> _Row:
+            b = target.coeffs.get(name)
+            if b is None:
                 return target
-            new_expr = target.expr + eq.expr.scale(-b / a)
-            new_comb = _comb_add(target.comb, eq.comb, -b / a)
-            return _Ineq(new_expr, new_comb)
+            return _combine(
+                target, m, eq, -b if a > 0 else b, target.scale * m
+            )
 
         pending = [subst(e) for e in pending]
         ineqs = [subst(q) for q in ineqs]
 
-    # Phase 2: Fourier-Motzkin elimination over the rationals.
-    elim_order: list[tuple[str, list[_Ineq]]] = []
+    # Phase 2: Fourier-Motzkin elimination.
+    elim_order: list[tuple[str, list[_Row]]] = []
     current = ineqs
     while True:
         # Drop trivially true constants, detect contradictions.
-        remaining: list[_Ineq] = []
+        remaining: list[_Row] = []
         for q in current:
-            if q.expr.is_const():
-                if q.expr.const > 0:
-                    all_eq = all(idx in eq_indices for idx in q.comb)
-                    return LiaResult(
-                        "unsat",
-                        core=frozenset(q.comb),
-                        farkas=dict(q.comb),
-                        all_equalities=all_eq,
-                    )
-            else:
+            if q.coeffs:
                 remaining.append(q)
+            elif q.const > 0:
+                return _refutation(q, eq_indices)
         current = remaining
-        vars_left = set()
-        for q in current:
-            vars_left.update(q.expr.coeffs)
-        if not vars_left:
-            break
         # Eliminate the variable occurring in the fewest constraints
         # (greedy heuristic keeping the blowup down).
-        counts = {v: 0 for v in vars_left}
+        counts: dict[str, int] = {}
         for q in current:
-            for v in q.expr.coeffs:
-                counts[v] += 1
-        victim = min(sorted(vars_left), key=lambda v: counts[v])
-        lowers: list[_Ineq] = []  # coeff < 0: gives lower bounds on victim
-        uppers: list[_Ineq] = []  # coeff > 0: gives upper bounds
-        others: list[_Ineq] = []
+            for v in q.coeffs:
+                counts[v] = counts.get(v, 0) + 1
+        if not counts:
+            break
+        victim = min(sorted(counts), key=counts.__getitem__)
+        lowers: list[_Row] = []  # coeff < 0: gives lower bounds on victim
+        uppers: list[_Row] = []  # coeff > 0: gives upper bounds
+        new: list[_Row] = []
         for q in current:
-            c = q.expr.coeff(victim)
+            c = q.coeffs.get(victim, 0)
             if c < 0:
                 lowers.append(q)
             elif c > 0:
                 uppers.append(q)
             else:
-                others.append(q)
+                new.append(q)
         elim_order.append((victim, lowers + uppers))
-        new = list(others)
         for lo in lowers:
-            cl = -lo.expr.coeff(victim)  # positive
+            cl = -lo.coeffs[victim]  # positive
             for up in uppers:
-                cu = up.expr.coeff(victim)  # positive
-                # cu*lo + cl*up eliminates victim.
-                expr = lo.expr.scale(cu) + up.expr.scale(cl)
-                comb = _comb_add(
-                    {k: v * cu for k, v in lo.comb.items()}, up.comb, cl
+                # cu*lo + cl*up eliminates victim; the scales multiply.
+                new.append(
+                    _combine(lo, up.coeffs[victim], up, cl, lo.scale * up.scale)
                 )
-                new.append(_Ineq(expr, comb))
         current = new
 
     # Phase 3: rational model by back-substitution through elim_order,
-    # then integer repair.
-    env: dict[str, Fraction] = {}
+    # then integer repair.  Values stay ints while they are integral.
+    env: dict[str, int | Fraction] = {}
     for victim, bounds in reversed(elim_order):
-        lo_val: Fraction | None = None
-        hi_val: Fraction | None = None
+        lo_val: int | Fraction | None = None
+        hi_val: int | Fraction | None = None
         for q in bounds:
-            c = q.expr.coeff(victim)
-            rest = q.expr + LinExpr({victim: -c})
-            # Variables that vanished during elimination (no constraints
-            # left on them) are free at this point; pin them to 0.
-            for name in rest.vars():
-                env.setdefault(name, Fraction(0))
-            bound = -rest.evaluate(env) / c
+            c = q.coeffs[victim]
+            bound = _quotient(-_value_without(q.coeffs, q.const, victim, env), c)
             if c > 0:  # victim <= bound
                 hi_val = bound if hi_val is None else min(hi_val, bound)
             else:  # victim >= bound
@@ -292,10 +317,8 @@ def _solve(constraints: list[LinLe | LinEq], depth: int) -> LiaResult:
         env[victim] = _pick_value(lo_val, hi_val)
 
     # Back-substitute equality definitions (most recent first).
-    for name, definition in reversed(defs):
-        for dep in definition.vars():
-            env.setdefault(dep, Fraction(0))
-        env[name] = definition.evaluate(env)
+    for name, coeffs, const, a in reversed(defs):
+        env[name] = _quotient(-_value_without(coeffs, const, name, env), a)
 
     # Integer repair: if some variable is fractional, branch on it.
     frac_var = next(
@@ -307,13 +330,13 @@ def _solve(constraints: list[LinLe | LinEq], depth: int) -> LiaResult:
 
     v = env[frac_var]
     floor_branch = list(constraints) + [
-        LinLe(LinExpr({frac_var: Fraction(1)}, -math.floor(v)))
+        LinLe(LinExpr({frac_var: 1}, -math.floor(v)))
     ]
     res_floor = _solve(floor_branch, depth + 1)
     if res_floor.is_sat:
         return res_floor
     ceil_branch = list(constraints) + [
-        LinLe(LinExpr({frac_var: Fraction(-1)}, math.ceil(v)))
+        LinLe(LinExpr({frac_var: -1}, math.ceil(v)))
     ]
     res_ceil = _solve(ceil_branch, depth + 1)
     if res_ceil.is_sat:
@@ -335,297 +358,50 @@ def _solve(constraints: list[LinLe | LinEq], depth: int) -> LiaResult:
     return LiaResult("unsat", core=core, farkas=None, all_equalities=False)
 
 
-class IncrementalFM:
-    """Incremental Fourier-Motzkin over a fixed base conjunction.
+def _value_without(
+    coeffs: dict[str, int], const: int, skip: str, env: dict[str, int | Fraction]
+) -> int | Fraction:
+    """``const + sum(c * env[v])`` over every variable but ``skip``.
 
-    The predicate abstractor asks hundreds of queries of the shape
-    ``base and extra`` against one region ``base``.  A scratch
-    :func:`solve_conjunction` re-runs Gaussian elimination and the full FM
-    cascade on the base every time; this class eliminates the base *once*,
-    recording the Gaussian definitions and the per-level bound partitions,
-    and answers each query by pushing only the extra inequalities through
-    the recorded pipeline:
-
-    * extras are substituted through the base equality definitions;
-    * at each recorded level, the carried extras are split into lower /
-      upper bounds on that level's victim and combined against both the
-      base bounds and each other (so the cascade computes exactly the FM
-      closure of the union, in the base's elimination order);
-    * inequalities over variables the base never eliminated fall out the
-      bottom and are finished with a scratch mini-elimination.
-
-    Extras must be :class:`LinLe`; an extra *equality* falls back to the
-    scratch solver (the Gaussian GCD integrality test does not replay
-    incrementally, and without it branch-and-bound can diverge on inputs
-    like ``2x + 2y + 1 == 0``).  Fractional rational models likewise fall
-    back to scratch for its branch-and-bound, so verdicts are always
-    identical to ``solve_conjunction(base + extras)``.
+    Variables that vanished during elimination (no constraints left on
+    them) are free at this point and are pinned to 0.  They enter ``env``
+    in the iteration order of a ``frozenset`` of the other variables,
+    which fixes the key order of the returned model.
     """
-
-    __slots__ = (
-        "base",
-        "base_result",
-        "_eq_indices",
-        "_defs",
-        "_defs_backsub",
-        "_levels",
-    )
-
-    def __init__(self, base: Sequence[LinLe | LinEq]):
-        self.base = list(base)
-        #: Set eagerly when the base alone is already unsat.
-        self.base_result: LiaResult | None = None
-        self._eq_indices = {
-            i for i, c in enumerate(self.base) if isinstance(c, LinEq)
-        }
-        #: Gaussian steps, in order: (victim, victim coeff, eq expr, eq comb).
-        self._defs: list[tuple[str, Fraction, LinExpr, dict[int, Fraction]]] = []
-        #: (victim, definition) pairs for model back-substitution.
-        self._defs_backsub: list[tuple[str, LinExpr]] = []
-        #: FM levels, in order: (victim, base lower bounds, base upper bounds).
-        self._levels: list[tuple[str, list[_Ineq], list[_Ineq]]] = []
-        self._prepare()
-
-    def _unsat(self, comb: Mapping[int, Fraction], farkas=True) -> LiaResult:
-        return LiaResult(
-            "unsat",
-            core=frozenset(comb),
-            farkas=dict(comb) if farkas else None,
-            all_equalities=all(i in self._eq_indices for i in comb),
-        )
-
-    def _prepare(self) -> None:
-        """Run phases 1-2 of :func:`_solve` on the base, recording state."""
-        ineqs: list[_Ineq] = []
-        pending: list[_Ineq] = []
-        for i, c in enumerate(self.base):
-            work = _Ineq(c.expr, {i: Fraction(1)})
-            if isinstance(c, LinEq):
-                pending.append(work)
-            elif isinstance(c, LinLe):
-                ineqs.append(work)
-            else:
-                raise TypeError(f"unknown constraint {c!r}")
-
-        while pending:
-            eq = pending.pop()
-            if eq.expr.is_const():
-                if eq.expr.const != 0:
-                    self.base_result = self._unsat(eq.comb)
-                    return
-                continue
-            denom = 1
-            for c in list(eq.expr.coeffs.values()) + [eq.expr.const]:
-                denom = denom * c.denominator // math.gcd(denom, c.denominator)
-            g = 0
-            for c in eq.expr.coeffs.values():
-                g = math.gcd(g, abs(int(c * denom)))
-            if g and int(eq.expr.const * denom) % g != 0:
-                self.base_result = self._unsat(eq.comb, farkas=False)
-                return
-            name = min(
-                eq.expr.coeffs, key=lambda n: (abs(eq.expr.coeffs[n]) != 1, n)
-            )
-            a = eq.expr.coeffs[name]
-            rest = eq.expr + LinExpr({name: -a})
-            self._defs.append((name, a, eq.expr, eq.comb))
-            self._defs_backsub.append((name, rest.scale(Fraction(-1, 1) / a)))
-
-            def subst(target: _Ineq) -> _Ineq:
-                b = target.expr.coeff(name)
-                if b == 0:
-                    return target
-                return _Ineq(
-                    target.expr + eq.expr.scale(-b / a),
-                    _comb_add(target.comb, eq.comb, -b / a),
-                )
-
-            pending = [subst(e) for e in pending]
-            ineqs = [subst(q) for q in ineqs]
-
-        current = ineqs
-        while True:
-            remaining: list[_Ineq] = []
-            for q in current:
-                if q.expr.is_const():
-                    if q.expr.const > 0:
-                        self.base_result = self._unsat(q.comb)
-                        return
-                else:
-                    remaining.append(q)
-            current = remaining
-            vars_left: set[str] = set()
-            for q in current:
-                vars_left.update(q.expr.coeffs)
-            if not vars_left:
-                break
-            counts = {v: 0 for v in vars_left}
-            for q in current:
-                for v in q.expr.coeffs:
-                    counts[v] += 1
-            victim = min(sorted(vars_left), key=lambda v: counts[v])
-            lowers: list[_Ineq] = []
-            uppers: list[_Ineq] = []
-            others: list[_Ineq] = []
-            for q in current:
-                c = q.expr.coeff(victim)
-                if c < 0:
-                    lowers.append(q)
-                elif c > 0:
-                    uppers.append(q)
-                else:
-                    others.append(q)
-            self._levels.append((victim, lowers, uppers))
-            new = list(others)
-            for lo in lowers:
-                cl = -lo.expr.coeff(victim)
-                for up in uppers:
-                    cu = up.expr.coeff(victim)
-                    expr = lo.expr.scale(cu) + up.expr.scale(cl)
-                    comb = _comb_add(
-                        {k: v * cu for k, v in lo.comb.items()}, up.comb, cl
-                    )
-                    new.append(_Ineq(expr, comb))
-            current = new
-
-    def extend(self, extras: Sequence[LinLe]) -> LiaResult:
-        """Decide ``base and extras`` reusing the base elimination."""
-        if any(not isinstance(e, LinLe) for e in extras):
-            # Equality extras need the Gaussian GCD test; go to scratch.
-            return _solve(self.base + list(extras), depth=0)
-        if self.base_result is not None:
-            return self.base_result
-        n = len(self.base)
-        carry: list[_Ineq] = []
-        for j, c in enumerate(extras):
-            work = _Ineq(c.expr, {n + j: Fraction(1)})
-            for name, a, eq_expr, eq_comb in self._defs:
-                b = work.expr.coeff(name)
-                if b != 0:
-                    work = _Ineq(
-                        work.expr + eq_expr.scale(-b / a),
-                        _comb_add(work.comb, eq_comb, -b / a),
-                    )
-            carry.append(work)
-
-        # Cascade the carried extras through the recorded levels.  At each
-        # level the new combinations are carry-lower x (base-upper +
-        # carry-upper) and base-lower x carry-upper: together with the
-        # base-lower x base-upper products already folded into the later
-        # base levels, that is the full FM closure of the union.
-        local_bounds: list[list[_Ineq]] = []
-        for victim, lowers, uppers in self._levels:
-            kept: list[_Ineq] = []
-            for q in carry:
-                if q.expr.is_const():
-                    if q.expr.const > 0:
-                        return self._unsat(q.comb)
-                else:
-                    kept.append(q)
-            c_lowers: list[_Ineq] = []
-            c_uppers: list[_Ineq] = []
-            c_others: list[_Ineq] = []
-            for q in kept:
-                c = q.expr.coeff(victim)
-                if c < 0:
-                    c_lowers.append(q)
-                elif c > 0:
-                    c_uppers.append(q)
-                else:
-                    c_others.append(q)
-            local_bounds.append(c_lowers + c_uppers)
-            new = c_others
-            for lo in c_lowers:
-                cl = -lo.expr.coeff(victim)
-                for up in uppers + c_uppers:
-                    cu = up.expr.coeff(victim)
-                    expr = lo.expr.scale(cu) + up.expr.scale(cl)
-                    comb = _comb_add(
-                        {k: v * cu for k, v in lo.comb.items()}, up.comb, cl
-                    )
-                    new.append(_Ineq(expr, comb))
-            for lo in lowers:
-                cl = -lo.expr.coeff(victim)
-                for up in c_uppers:
-                    cu = up.expr.coeff(victim)
-                    expr = lo.expr.scale(cu) + up.expr.scale(cl)
-                    comb = _comb_add(
-                        {k: v * cu for k, v in lo.comb.items()}, up.comb, cl
-                    )
-                    new.append(_Ineq(expr, comb))
-            carry = new
-
-        # Whatever survives mentions only variables the base never saw;
-        # finish them with a scratch mini-elimination.
-        leftover: list[_Ineq] = []
-        for q in carry:
-            if q.expr.is_const():
-                if q.expr.const > 0:
-                    return self._unsat(q.comb)
-            else:
-                leftover.append(q)
-        env: dict[str, Fraction] = {}
-        if leftover:
-            sub = _solve([LinLe(q.expr) for q in leftover], depth=0)
-            if not sub.is_sat:
-                core: set[int] = set()
-                for i in sub.core or frozenset(range(len(leftover))):
-                    core.update(leftover[i].comb)
-                return LiaResult(
-                    "unsat", core=frozenset(core), farkas=None,
-                    all_equalities=False,
-                )
-            env = {k: Fraction(v) for k, v in (sub.model or {}).items()}
-
-        # Model: back-substitute through the levels (base bounds plus the
-        # carried bounds consumed at each level), then the Gaussian defs.
-        try:
-            for (victim, lowers, uppers), extra_bounds in zip(
-                reversed(self._levels), reversed(local_bounds)
-            ):
-                lo_val: Fraction | None = None
-                hi_val: Fraction | None = None
-                for q in lowers + uppers + extra_bounds:
-                    c = q.expr.coeff(victim)
-                    rest = q.expr + LinExpr({victim: -c})
-                    for name in rest.vars():
-                        env.setdefault(name, Fraction(0))
-                    bound = -rest.evaluate(env) / c
-                    if c > 0:
-                        hi_val = bound if hi_val is None else min(hi_val, bound)
-                    else:
-                        lo_val = bound if lo_val is None else max(lo_val, bound)
-                env[victim] = _pick_value(lo_val, hi_val)
-        except AssertionError:
-            # Defensive: an empty interval cannot arise from a complete FM
-            # closure, but a scratch solve is always a correct answer.
-            return _solve(self.base + list(extras), depth=0)
-
-        for name, definition in reversed(self._defs_backsub):
-            for dep in definition.vars():
-                env.setdefault(dep, Fraction(0))
-            env[name] = definition.evaluate(env)
-
-        if any(v.denominator != 1 for v in env.values()):
-            # Integer repair needs branch-and-bound over the full system.
-            return _solve(self.base + list(extras), depth=0)
-        return LiaResult("sat", model={k: int(v) for k, v in env.items()})
+    total = const
+    for name, c in coeffs.items():
+        if name != skip:
+            value = env.get(name)
+            if value is None:
+                rest = {n: k for n, k in coeffs.items() if n != skip}
+                for free in frozenset(rest):
+                    env.setdefault(free, 0)
+                return _value_without(coeffs, const, skip, env)
+            total += c * value
+    return total
 
 
-def _pick_value(lo: Fraction | None, hi: Fraction | None) -> Fraction:
+def _quotient(num: int | Fraction, den: int) -> int | Fraction:
+    """Exact ``num / den``: an int when it divides, else a ``Fraction``."""
+    if type(num) is int:
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+    return num / den
+
+
+def _pick_value(
+    lo: int | Fraction | None, hi: int | Fraction | None
+) -> int | Fraction:
     """Choose a value in [lo, hi], preferring small integers."""
-    if lo is None and hi is None:
-        return Fraction(0)
     if lo is None:
-        return Fraction(min(0, math.floor(hi)))
+        return 0 if hi is None else min(0, math.floor(hi))
     if hi is None:
-        return Fraction(max(0, math.ceil(lo)))
+        return max(0, math.ceil(lo))
     if lo > hi:
         raise AssertionError("empty interval after FM claimed sat")
     # Prefer an integer within the interval.
-    candidate = Fraction(math.ceil(lo))
+    candidate = math.ceil(lo)
     if candidate <= hi:
-        if lo <= 0 <= hi:
-            return Fraction(0)
-        return candidate
+        return 0 if lo <= 0 <= hi else candidate
+    # Only a fractional lo gets here, so this stays exact.
     return (lo + hi) / 2

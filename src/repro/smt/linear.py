@@ -14,8 +14,11 @@ Over the integers every comparison reduces to these two shapes:
     t >= 0   ==>   -t <= 0
     t != 0   ==>   (t + 1 <= 0)  or  (-t + 1 <= 0)   -- handled by callers
 
-Coefficients are kept as ``Fraction`` so Fourier-Motzkin elimination stays
-exact; input programs only ever produce integer coefficients.
+:class:`LinExpr` stores the numbers it is given.  Every expression built
+from a term has ``int`` coefficients; a ``Fraction`` coefficient (an
+interpolant's scaled Farkas sum, or a caller's own) works too, and renders
+and hashes like an equal ``int`` (``str(Fraction(2)) == "2"``), so canonical
+keys do not depend on which of the two a producer used.
 """
 
 from __future__ import annotations
@@ -51,15 +54,14 @@ class LinExpr:
 
     __slots__ = ("coeffs", "const", "_hash", "_key")
 
-    def __init__(self, coeffs: Mapping[str, Fraction] | None = None, const=0):
+    def __init__(self, coeffs: Mapping[str, int | Fraction] | None = None, const=0):
         clean = {}
         if coeffs:
             for name, c in coeffs.items():
-                c = Fraction(c)
                 if c != 0:
                     clean[name] = c
-        object.__setattr__(self, "coeffs", dict(clean))
-        object.__setattr__(self, "const", Fraction(const))
+        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "const", const)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_key", None)
 
@@ -71,14 +73,13 @@ class LinExpr:
     def __add__(self, other: "LinExpr") -> "LinExpr":
         coeffs = dict(self.coeffs)
         for name, c in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) + c
+            coeffs[name] = coeffs.get(name, 0) + c
         return LinExpr(coeffs, self.const + other.const)
 
     def __sub__(self, other: "LinExpr") -> "LinExpr":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "LinExpr":
-        factor = Fraction(factor)
         return LinExpr(
             {name: c * factor for name, c in self.coeffs.items()},
             self.const * factor,
@@ -92,16 +93,16 @@ class LinExpr:
     def is_const(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, name: str) -> Fraction:
-        return self.coeffs.get(name, Fraction(0))
+    def coeff(self, name: str) -> int | Fraction:
+        return self.coeffs.get(name, 0)
 
     def vars(self) -> frozenset[str]:
         return frozenset(self.coeffs)
 
-    def evaluate(self, env: Mapping[str, Fraction | int]) -> Fraction:
+    def evaluate(self, env: Mapping[str, Fraction | int]) -> int | Fraction:
         total = self.const
         for name, c in self.coeffs.items():
-            total += c * Fraction(env[name])
+            total += c * env[name]
         return total
 
     def substitute(self, name: str, repl: "LinExpr") -> "LinExpr":
@@ -270,7 +271,7 @@ def linearize(t: Term) -> LinExpr:
 
 def _linearize(t: Term) -> LinExpr:
     if isinstance(t, Var):
-        return LinExpr({t.name: Fraction(1)})
+        return LinExpr({t.name: 1})
     if isinstance(t, IntConst):
         return LinExpr({}, t.value)
     if isinstance(t, Add):

@@ -20,7 +20,6 @@ rather than a throwaway :class:`Solver`.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import lia
@@ -43,8 +42,6 @@ from .terms import (
     FALSE,
     TRUE,
     Term,
-    UnionFind,
-    Var,
     and_,
     free_vars,
     not_,
@@ -352,28 +349,22 @@ class ConjunctionContext:
 
     The cartesian predicate abstractor probes every predicate (and its
     negation) against the same region: the base literals are identical
-    across the whole sweep.  This context canonicalizes the base once,
-    keeps an :class:`~repro.smt.lia.IncrementalFM` with the base already
-    eliminated, and a :class:`~repro.smt.terms.UnionFind` over variables
-    the base equates (unit-coefficient ``x == y`` atoms), through which
-    each query literal is canonicalized before entering the solver.
+    across the whole sweep.  This context canonicalizes the base once and
+    memoizes each query literal's canonical key, so a repeated literal
+    costs one dict hit and one :data:`SAT_CACHE` lookup.
 
     Observable behavior is *identical* to calling
     ``is_sat_conjunction(base + [lit])``: same canonical cache key, one
     :data:`SAT_CACHE` lookup and at most one store per query, one
     profiler record -- so cache statistics and stage query counts are
-    unchanged, which the differential harness asserts.  Only the work on
-    a cache miss differs: the base's Gaussian/FM elimination is reused
-    instead of recomputed.
+    the same either way.  A cache miss solves ``base + lit`` from
+    scratch, exactly as :func:`is_sat_conjunction` would.
     """
 
-    __slots__ = ("_false", "_keys", "_base_key", "_base", "_diseqs", "_uf",
-                 "_uf_active", "_fm", "_key_memo")
+    __slots__ = ("_false", "_keys", "_base_key", "_base", "_diseqs", "_key_memo")
 
     def __init__(self, base_literals: Sequence[Term]):
         self._false = False
-        self._uf = UnionFind()
-        uf_unions = 0
         keys: set[str] = set()
         base: list[LinLe | LinEq] = []
         diseqs: list[tuple[LinLe, LinLe]] = []
@@ -383,14 +374,6 @@ class ConjunctionContext:
             if lit == FALSE:
                 self._false = True
                 break
-            if (
-                isinstance(lit, Cmp)
-                and lit.op == "=="
-                and isinstance(lit.lhs, Var)
-                and isinstance(lit.rhs, Var)
-            ):
-                self._uf.union(lit.lhs, lit.rhs)
-                uf_unions += 1
             ks, parts = literal_key(lit)
             if keys.issuperset(ks):
                 continue
@@ -404,24 +387,9 @@ class ConjunctionContext:
         self._base_key = tuple(sorted(keys))
         self._base = base
         self._diseqs = diseqs
-        self._uf_active = uf_unions > 0
-        self._fm: lia.IncrementalFM | None = None
         #: literal -> (canonical key, normalized extra parts); the
         #: lookup is a pointer-hash dict hit on interned terms.
         self._key_memo: dict[Term, tuple] = {}
-
-    def _canon_le(self, part: LinLe) -> LinLe:
-        """Rewrite a constraint through the base's variable equalities."""
-        expr = part.expr
-        changed = False
-        for name in list(expr.coeffs):
-            rep = self._uf.find(Var(name))
-            if isinstance(rep, Var) and rep.name != name:
-                expr = expr.substitute(
-                    name, LinExpr({rep.name: Fraction(1)})
-                )
-                changed = True
-        return LinLe(expr) if changed else part
 
     def query(self, lit: Term) -> bool:
         """Satisfiability of ``base and lit`` (cache-parity fast path)."""
@@ -452,27 +420,16 @@ class ConjunctionContext:
         return result
 
     def _solve_miss(self, parts: tuple[object, ...]) -> bool:
-        extra_les: list[LinLe] = []
-        extra_eqs: list[LinEq] = []
-        extra_diseqs: list[tuple[LinLe, LinLe]] = []
-        for part in parts:
-            if isinstance(part, tuple):
-                extra_diseqs.append(part)
-            elif isinstance(part, LinEq):
-                extra_eqs.append(part)
-            else:
-                extra_les.append(part)
-        if self._diseqs or extra_diseqs or extra_eqs:
-            return _sat_with_diseqs(
-                self._base + extra_les + extra_eqs,
-                self._diseqs + extra_diseqs,
-            )
-        if self._uf_active:
-            extra_les = [self._canon_le(p) for p in extra_les]
-        fm = self._fm
-        if fm is None:
-            fm = self._fm = lia.IncrementalFM(self._base)
-        return fm.extend(extra_les).is_sat
+        extras = [p for p in parts if not isinstance(p, tuple)]
+        extra_diseqs = [p for p in parts if isinstance(p, tuple)]
+        return _sat_with_diseqs(self._base + extras, self._diseqs + extra_diseqs)
+
+
+class _ZeroDefault(dict):
+    """A model that reads unassigned variables as 0."""
+
+    def __missing__(self, key):
+        return 0
 
 
 def _sat_with_diseqs(
@@ -481,16 +438,7 @@ def _sat_with_diseqs(
     result = lia.solve_conjunction(base)
     if not result.is_sat:
         return False
-    model = result.model or {}
-
-    def value_env():
-        class _Env(dict):
-            def __missing__(self, key):
-                return 0
-
-        return _Env(model)
-
-    env = value_env()
+    env = _ZeroDefault(result.model or {})
     for i, (lo, hi) in enumerate(diseqs):
         if not lo.holds(env) and not hi.holds(env):
             rest = diseqs[:i] + diseqs[i + 1 :]

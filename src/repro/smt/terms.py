@@ -20,11 +20,6 @@ survives the scheduler's and serve daemon's process boundaries.
 older generation stay valid: the identity fast path is taken only between
 two terms of the same generation, and ``__eq__`` falls back to comparing
 ``key()`` tuples across generations.
-
-:class:`UnionFind` provides the canonicalizer for terms unified during
-inference (path compression + union by rank, after thorin's
-``Infer::find``): the incremental conjunction contexts use it to collapse
-variables aliased by equality atoms onto one representative.
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ __all__ = [
     "Iff",
     "TRUE",
     "FALSE",
-    "UnionFind",
     "var",
     "num",
     "add",
@@ -776,72 +770,6 @@ def atoms(t: Term) -> frozenset[Term]:
             found = found | {node}
         object.__setattr__(node, "_atoms", found)
     return t._atoms
-
-
-# ---------------------------------------------------------------------------
-# Union-find canonicalization
-# ---------------------------------------------------------------------------
-
-
-class UnionFind:
-    """Union-find over terms with path compression and union by rank.
-
-    The two-pass ``find`` (walk to the root, then repoint the visited
-    chain) follows thorin's ``Infer::find`` idiom.  :meth:`canon`
-    rewrites a term bottom-up through the representatives; for the
-    variable-level unions the conjunction contexts perform (``x == y``
-    with unit coefficients) a single pass is idempotent, because the
-    representatives substituted in are themselves leaf terms.
-    """
-
-    __slots__ = ("_parent", "_rank")
-
-    def __init__(self) -> None:
-        #: Absence from ``_parent`` means the term is its own root.
-        self._parent: dict[Term, Term] = {}
-        self._rank: dict[Term, int] = {}
-
-    def find(self, t: Term) -> Term:
-        parent = self._parent
-        root = t
-        chain: list[Term] = []
-        while True:
-            nxt = parent.get(root)
-            if nxt is None or nxt == root:
-                break
-            chain.append(root)
-            root = nxt
-        for node in chain:
-            parent[node] = root
-        return root
-
-    def union(self, a: Term, b: Term) -> Term:
-        """Merge the classes of ``a`` and ``b``; returns the representative."""
-        ra = self.find(a)
-        rb = self.find(b)
-        if ra == rb:
-            return ra
-        rank = self._rank
-        ka = rank.get(ra, 0)
-        kb = rank.get(rb, 0)
-        if ka < kb:
-            ra, rb = rb, ra
-            ka, kb = kb, ka
-        self._parent[rb] = ra
-        if ka == kb:
-            rank[ra] = ka + 1
-        return ra
-
-    def canon(self, t: Term) -> Term:
-        """Rewrite ``t`` with every subterm replaced by its representative."""
-        root = self.find(t)
-        kids = children(root)
-        if not kids:
-            return root
-        new_kids = [self.canon(k) for k in kids]
-        if all(nk is ok for nk, ok in zip(new_kids, kids)):
-            return root
-        return self.find(_rebuild(root, new_kids))
 
 
 # ---------------------------------------------------------------------------

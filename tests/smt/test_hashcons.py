@@ -1,18 +1,15 @@
 """Property suite for the hash-consed term layer.
 
-Five families of properties, each against an independently computed
+Three families of properties, each against an independently computed
 oracle:
 
 * **intern identity** -- building a term twice, from scratch, yields the
-  *same object*, and pickling round-trips through re-interning;
-* **canonicalization idempotence** -- :meth:`UnionFind.canon` is a
-  fixpoint after one application;
+  *same object*, and pickling round-trips through re-interning, also
+  across a process boundary and a table clear;
 * **alpha-renaming digest stability** -- canonical qcache digests are
   invariant under how a renamed formula was built (direct construction
   vs. :func:`substitute`), under conjunct permutation/duplication, and
   under rename round-trips;
-* **union-find laws** -- find/union agree with a naive partition oracle,
-  and ``find`` compresses the path it walked;
 * **memoized traversals** -- ``free_vars``/``atoms``/``substitute``
   agree with from-scratch recomputation (unmemoized walks and a
   semantic evaluation oracle).
@@ -106,84 +103,6 @@ def test_interned_terms_carry_process_unique_ids(t):
 @given(terms)
 def test_pickle_roundtrip_reinterns_to_the_same_object(t):
     assert pickle.loads(pickle.dumps(t)) is t
-
-
-# -- union-find laws ----------------------------------------------------------
-
-pairs = st.lists(st.tuples(names, names), min_size=0, max_size=12)
-
-
-def _oracle_partition(union_ops):
-    """Naive disjoint-set oracle: a list of frozensets."""
-    classes = [frozenset((n,)) for n in _NAMES]
-    for a, b in union_ops:
-        ca = next(c for c in classes if a in c)
-        cb = next(c for c in classes if b in c)
-        if ca is not cb:
-            classes = [c for c in classes if c is not ca and c is not cb]
-            classes.append(ca | cb)
-    return classes
-
-
-@settings(**SETTINGS)
-@given(pairs)
-def test_union_find_matches_partition_oracle(ops):
-    uf = T.UnionFind()
-    for a, b in ops:
-        uf.union(T.var(a), T.var(b))
-    classes = _oracle_partition(ops)
-    for c in classes:
-        reps = {uf.find(T.var(n)) for n in c}
-        assert len(reps) == 1  # same class, same representative
-        rep = reps.pop()
-        assert rep.name in c  # the representative is a member
-    for ca in classes:
-        for cb in classes:
-            if ca is not cb:
-                assert uf.find(T.var(next(iter(ca)))) != uf.find(
-                    T.var(next(iter(cb)))
-                )
-
-
-@settings(**SETTINGS)
-@given(pairs, names)
-def test_find_is_idempotent_and_compresses(ops, probe):
-    uf = T.UnionFind()
-    for a, b in ops:
-        uf.union(T.var(a), T.var(b))
-    v = T.var(probe)
-    root = uf.find(v)
-    assert uf.find(root) is root
-    assert uf.find(v) is root
-    # Path compression: after a find, every touched node points at the
-    # root directly (or is the root and absent from the parent map).
-    if v is not root:
-        assert uf._parent[v] is root
-
-
-def test_union_by_rank_keeps_chains_flat():
-    uf = T.UnionFind()
-    vs = [T.var(f"r{i}") for i in range(8)]
-    for i in range(1, len(vs)):
-        uf.union(vs[0], vs[i])
-    root = uf.find(vs[0])
-    for v in vs:
-        assert uf.find(v) is root
-        if v is not root:
-            assert uf._parent[v] is root
-
-
-@settings(**SETTINGS)
-@given(pairs, terms)
-def test_canonicalization_is_idempotent(ops, t):
-    uf = T.UnionFind()
-    for a, b in ops:
-        uf.union(T.var(a), T.var(b))
-    once = uf.canon(t)
-    assert uf.canon(once) is once
-    # Canonicalization only ever substitutes representatives in.
-    reps = {uf.find(T.var(n)).name for n in T.free_vars(t)}
-    assert T.free_vars(once) <= reps
 
 
 # -- alpha-renaming digest stability ------------------------------------------

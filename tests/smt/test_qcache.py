@@ -79,6 +79,18 @@ def test_key_digest_stable():
     assert len(key_digest(key)) == 64
 
 
+def test_literal_key_strings_are_pinned():
+    # The on-disk warm tier is keyed by these rendered strings: a change in
+    # how a constraint renders orphans every persisted verdict.
+    two_x_plus_1 = T.add(T.mul(T.num(2), x), T.num(1))
+    assert literal_key(T.le(two_x_plus_1, T.add(y, T.num(4))))[0] == (
+        "le(2*x+-1*y+-3)",
+    )
+    assert literal_key(T.eq(x, y))[0] == ("eq(-1*x+1*y+0)",)
+    assert literal_key(T.ne(x, T.num(3)))[0] == ("ne(-1*x+4|1*x+-2)",)
+    assert literal_key(T.not_(T.le(x, T.num(1))))[0] == ("le(-1*x+2)",)
+
+
 # -- LRU ---------------------------------------------------------------------
 
 
