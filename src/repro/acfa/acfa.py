@@ -14,6 +14,7 @@ procedure Connect of the paper).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..smt import terms as T
@@ -22,14 +23,24 @@ __all__ = ["Acfa", "AcfaEdge", "acfa_signature", "empty_acfa"]
 
 
 class AcfaEdge:
-    """A havoc edge ``src --Y--> dst``."""
+    """A havoc edge ``src --Y--> dst``; an immutable value object."""
 
-    __slots__ = ("src", "havoc", "dst")
+    __slots__ = ("src", "havoc", "dst", "_hash")
 
     def __init__(self, src: int, havoc: frozenset[str], dst: int):
-        self.src = src
-        self.havoc = frozenset(havoc)
-        self.dst = dst
+        havoc = frozenset(havoc)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "havoc", havoc)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "_hash", hash((src, havoc, dst)))
+
+    def __setattr__(self, *a):
+        raise AttributeError("AcfaEdge is immutable")
+
+    def __reduce__(self):
+        # Rebuild through __init__: string hashes differ per process, so
+        # the cached hash must be recomputed where the edge is unpickled.
+        return (AcfaEdge, (self.src, self.havoc, self.dst))
 
     def key(self) -> tuple:
         return (self.src, self.havoc, self.dst)
@@ -38,7 +49,7 @@ class AcfaEdge:
         return isinstance(other, AcfaEdge) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self):
         vs = ",".join(sorted(self.havoc)) or "-"
@@ -123,16 +134,21 @@ class Acfa:
 
     # -- race-relevant access sets ---------------------------------------------------
 
+    @cached_property
+    def _writes(self) -> dict[int, frozenset[str]]:
+        """Per-location write sets, computed once, on first use."""
+        return {
+            q: frozenset().union(*(e.havoc for e in es))
+            for q, es in self._out.items()
+        }
+
     def may_write(self, q: int, x: str) -> bool:
         """An abstract thread at ``q`` can write ``x`` iff some out-edge
         havocs it (paper Section 4.1; abstract threads never 'read')."""
-        return any(x in e.havoc for e in self.out(q))
+        return x in self._writes[q]
 
     def writes_at(self, q: int) -> frozenset[str]:
-        vs: set[str] = set()
-        for e in self.out(q):
-            vs.update(e.havoc)
-        return frozenset(vs)
+        return self._writes[q]
 
     # -- rendering --------------------------------------------------------------------
 

@@ -14,6 +14,7 @@ multithreaded program is built).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from ..smt.terms import Term, free_vars, pretty
@@ -165,30 +166,45 @@ class CFA:
             raise ValueError(f"variables both global and local: {sorted(overlap)}")
 
     # -- access sets (Section 4.1) ----------------------------------------------
+    #
+    # Per-location sets, computed once, on first use: lowering builds a CFA
+    # it contracts right away, and nobody reads that one's sets.
+
+    @cached_property
+    def _writes(self) -> dict[int, frozenset[str]]:
+        return {
+            q: frozenset().union(*(e.op.writes() for e in es))
+            for q, es in self._out.items()
+        }
+
+    @cached_property
+    def _reads(self) -> dict[int, frozenset[str]]:
+        return {
+            q: frozenset().union(*(e.op.reads() for e in es))
+            for q, es in self._out.items()
+        }
+
+    @cached_property
+    def _accesses(self) -> dict[int, frozenset[str]]:
+        return {q: w | self._reads[q] for q, w in self._writes.items()}
 
     def writes_at(self, q: int) -> frozenset[str]:
         """Variables some out-edge of ``q`` may write."""
-        vs: set[str] = set()
-        for e in self.out(q):
-            vs.update(e.op.writes())
-        return frozenset(vs)
+        return self._writes[q]
 
     def reads_at(self, q: int) -> frozenset[str]:
         """Variables some out-edge of ``q`` may read."""
-        vs: set[str] = set()
-        for e in self.out(q):
-            vs.update(e.op.reads())
-        return frozenset(vs)
+        return self._reads[q]
 
     def accesses_at(self, q: int) -> frozenset[str]:
-        return self.writes_at(q) | self.reads_at(q)
+        return self._accesses[q]
 
     def may_write(self, q: int, x: str) -> bool:
         """Does location ``q`` have an enabled operation writing ``x``?"""
-        return x in self.writes_at(q)
+        return x in self._writes[q]
 
     def may_access(self, q: int, x: str) -> bool:
-        return x in self.writes_at(q) or x in self.reads_at(q)
+        return x in self._accesses[q]
 
     # -- rendering -----------------------------------------------------------------
 

@@ -316,13 +316,23 @@ def build_trace_formula(
     )
 
 
+def _atoms_in_order(t: T.Term) -> list[T.Term]:
+    """The atoms of ``t`` sorted by their text.
+
+    :func:`repro.smt.terms.atoms` is a frozenset, whose order follows the
+    string hashes of variable names and so changes with the process's hash
+    seed; mined predicates, and everything downstream, must not.
+    """
+    return sorted(T.atoms(t), key=repr)
+
+
 def _mine_interpolants(ct: ConcretizedTrace) -> list[T.Term]:
     itps = sequence_interpolants(ct.groups)
     if itps is None:
         return []
     preds: list[T.Term] = []
     for itp in itps:
-        for atom in T.atoms(itp):
+        for atom in _atoms_in_order(itp):
             preds.append(SsaBuilder.unrename_term(atom))
     return preds
 
@@ -333,14 +343,14 @@ def _mine_wp_atoms(ct: ConcretizedTrace) -> list[T.Term]:
     used: set[str] = set()
     for clause in ct.clauses[n_init:]:
         used.update(T.free_vars(clause))
-        for atom in T.atoms(clause):
+        for atom in _atoms_in_order(clause):
             preds.append(SsaBuilder.unrename_term(atom))
     # Initial-value atoms matter when the trace reads a variable's initial
     # value (e.g. assertions over initialized globals); restrict to the
     # variables the trace actually touches to avoid noise.
     for clause in ct.clauses[:n_init]:
         if T.free_vars(clause) & used:
-            for atom in T.atoms(clause):
+            for atom in _atoms_in_order(clause):
                 preds.append(SsaBuilder.unrename_term(atom))
     return preds
 

@@ -12,7 +12,7 @@ represented as a tuple indexed by location for hashability.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = ["OMEGA", "CounterValue", "counter_inc", "counter_dec", "ContextState"]
 
@@ -61,16 +61,25 @@ class ContextState:
     """An abstract context state ``G : Q_A -> {0..k, OMEGA}``.
 
     Immutable value object; location indices follow the ACFA's location ids
-    (assumed dense from 0, as produced by collapse/empty_acfa).
+    (assumed dense from 0, as produced by collapse/empty_acfa).  The hash
+    is computed once, and the occupied locations on first use.
     """
 
-    __slots__ = ("counts",)
+    __slots__ = ("counts", "_hash", "_occupied")
 
     def __init__(self, counts: Sequence[CounterValue]):
-        object.__setattr__(self, "counts", tuple(counts))
+        counts = tuple(counts)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_hash", hash(counts))
+        object.__setattr__(self, "_occupied", None)
 
     def __setattr__(self, *a):
         raise AttributeError("ContextState is immutable")
+
+    def __reduce__(self):
+        # Rebuild through __init__: OMEGA hashes by identity, which
+        # differs per process, so the cached hash is recomputed.
+        return (ContextState, (self.counts,))
 
     @classmethod
     def initial_omega(
@@ -99,11 +108,15 @@ class ContextState:
     def count(self, q: int) -> CounterValue:
         return self.counts[q]
 
-    def occupied(self) -> Iterator[int]:
-        """Locations with at least one thread."""
-        for q, v in enumerate(self.counts):
-            if v is OMEGA or v > 0:
-                yield q
+    def occupied(self) -> tuple[int, ...]:
+        """Locations with at least one thread, in increasing order."""
+        occupied = self._occupied
+        if occupied is None:
+            occupied = tuple(
+                q for q, v in enumerate(self.counts) if v is OMEGA or v > 0
+            )
+            object.__setattr__(self, "_occupied", occupied)
+        return occupied
 
     def at_least_two(self, q: int) -> bool:
         v = self.counts[q]
@@ -120,7 +133,7 @@ class ContextState:
         return isinstance(other, ContextState) and self.counts == other.counts
 
     def __hash__(self):
-        return hash(self.counts)
+        return self._hash
 
     def __repr__(self):
         parts = []

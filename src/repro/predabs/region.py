@@ -90,6 +90,16 @@ class Region:
     literals: frozenset[tuple[int, bool]] = frozenset()
     bottom: bool = False
 
+    def __post_init__(self) -> None:
+        # Regions key every memo and seen-set of the exploration; hash
+        # once.  Literal pairs hash alike in every process, so a pickled
+        # region may carry its hash along.  (BooleanRegion keeps its
+        # generated hash over all fields.)
+        object.__setattr__(self, "_hash", hash((self.literals, self.bottom)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @staticmethod
     def top() -> "Region":
         return TOP

@@ -16,7 +16,7 @@ cross-iteration persistence in :mod:`repro.reach.store`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..acfa.acfa import Acfa, AcfaEdge
 from ..cfa.cfa import CFA, AssignOp, Edge
@@ -66,6 +66,8 @@ class ArgBuilder:
         # (src_root, dst_root) -> (havoc set, provenance CFA edges); roots
         # are canonicalized lazily at export.
         self._edges: dict[tuple[int, int], tuple[set[str], set[Edge]]] = {}
+        # location -> context edges enabled there; canonicalized at export.
+        self._enabled: dict[int, set[AcfaEdge]] = {}
         self.q0: Optional[int] = None
 
     # -- union-find --------------------------------------------------------------
@@ -111,15 +113,15 @@ class ArgBuilder:
 
     # -- Algorithm Connect ---------------------------------------------------------------
 
-    def connect_main(self, src: ThreadState, edge: Edge, dst: ThreadState) -> None:
-        """Record a main-thread operation in the graph."""
-        a = self.find(src)
+    def connect_main(self, src: int, edge: Edge, dst: ThreadState) -> None:
+        """Record a main-thread operation from location ``src`` (a value
+        :meth:`find` returned) to the location of ``dst``."""
         b = self.find(dst)
         if isinstance(edge.op, AssignOp):
             havoc = {edge.op.lhs}
         else:
             havoc = set()
-        key = (a, b)
+        key = (self._find_root(src), b)
         entry = self._edges.get(key)
         if entry is None:
             self._edges[key] = (set(havoc), {edge})
@@ -127,25 +129,40 @@ class ArgBuilder:
             entry[0].update(havoc)
             entry[1].add(edge)
 
-    def connect_ctx(self, src: ThreadState, dst: ThreadState) -> None:
-        """An environment move: unify the two locations."""
-        self.union(self.find(src), self.find(dst))
+    def connect_ctx(self, src: int, dst: ThreadState) -> None:
+        """An environment move: unify location ``src`` with ``dst``'s."""
+        self.union(src, self.find(dst))
+
+    def enable_ctx(self, loc: int, edges: Iterable[AcfaEdge]) -> None:
+        """Record context edges enabled at location ``loc``."""
+        self._enabled.setdefault(loc, set()).update(edges)
 
     def set_initial(self, ts: ThreadState) -> None:
         self.q0 = self.find(ts)
 
     # -- export -------------------------------------------------------------------------
 
-    def export(self, name: str = "arg") -> tuple[Acfa, dict[tuple[int, int], frozenset[Edge]]]:
-        """Freeze into an ACFA plus edge provenance.
+    def export(self, name: str = "arg") -> tuple[
+        Acfa,
+        dict[tuple[int, int], frozenset[Edge]],
+        dict[int, int],
+        dict[ThreadState, int],
+        dict[int, set[AcfaEdge]],
+    ]:
+        """Freeze into an ACFA plus the per-location data of a
+        :class:`ReachResult`: edge provenance, each location's pc, each
+        thread state's location and the context edges enabled at each
+        location, all over the ACFA's numbering.
 
         Location labels are the cartesian hull of the member thread states'
         regions (the literals common to every member) -- a sound
         over-approximation of the disjunction the paper's R map denotes.
         """
         assert self.q0 is not None, "set_initial was never called"
-        roots = sorted({self._find_root(l) for l in range(len(self._parent))})
+        root_of = [self._find_root(l) for l in range(len(self._parent))]
+        roots = sorted(set(root_of))
         renum = {root: i for i, root in enumerate(roots)}
+        number = [renum[root] for root in root_of]
 
         label: dict[int, tuple] = {}
         atomic: set[int] = set()
@@ -163,7 +180,7 @@ class ArgBuilder:
 
         merged_edges: dict[tuple[int, int], tuple[set[str], set[Edge]]] = {}
         for (a, b), (havoc, prov) in self._edges.items():
-            ra, rb = renum[self._find_root(a)], renum[self._find_root(b)]
+            ra, rb = number[a], number[b]
             entry = merged_edges.get((ra, rb))
             if entry is None:
                 merged_edges[(ra, rb)] = (set(havoc), set(prov))
@@ -173,7 +190,7 @@ class ArgBuilder:
 
         acfa = Acfa(
             name=name,
-            q0=renum[self._find_root(self.q0)],
+            q0=number[self.q0],
             locations=renum.values(),
             label=label,
             edges=[
@@ -186,17 +203,12 @@ class ArgBuilder:
             key: frozenset(prov)
             for key, (_, prov) in merged_edges.items()
         }
-        return acfa, provenance
-
-    def pc_of_root(self, renumbered: dict[int, int]) -> dict[int, int]:
-        return {
-            renumbered[root]: self._pc[root]
-            for root in {self._find_root(l) for l in range(len(self._parent))}
-        }
-
-    def location_of(self, ts: ThreadState) -> int | None:
-        loc = self._state_loc.get(ts)
-        return None if loc is None else self._find_root(loc)
+        arg_pc = {renum[root]: self._pc[root] for root in roots}
+        state_location = {ts: number[loc] for ts, loc in self._state_loc.items()}
+        enabled: dict[int, set[AcfaEdge]] = {}
+        for loc, edges in self._enabled.items():
+            enabled.setdefault(number[loc], set()).update(edges)
+        return acfa, provenance, arg_pc, state_location, enabled
 
 
 @dataclass

@@ -20,9 +20,8 @@ from __future__ import annotations
 import time
 from collections import deque
 
-from ..acfa.acfa import AcfaEdge
 from ..context.counters import OMEGA, ContextState
-from ..context.state import AbsState, AbstractProgram, CtxMove, MainMove, Move
+from ..context.state import AbsState, AbstractProgram, Move
 from .arg import (
     AbstractRaceFound,
     ArgBuilder,
@@ -120,14 +119,12 @@ def reach_and_build(
     parent: dict[AbsState, tuple[AbsState, Move] | None] = {init: None}
 
     # Covering-based pruning: for a fixed (pc, region), a context state with
-    # pointwise-larger counts and the same occupied-atomic pattern enables a
-    # superset of moves, reaches a superset of races, and produces identical
-    # thread-state successors -- so states covered by an explored state can
-    # be skipped (WSTS-style).  `covering` maps (pc, region, atomic
-    # pattern) to the maximal count vectors seen.
-    acfa_atomic = [
-        q for q in sorted(program.acfa.locations) if program.acfa.is_atomic(q)
-    ]
+    # pointwise-larger counts and the same occupied atomic locations enables
+    # a superset of moves, reaches a superset of races, and produces
+    # identical thread-state successors -- so states covered by an explored
+    # state can be skipped (WSTS-style).  `covering` maps (pc, region,
+    # occupied atomic locations) to the maximal count vectors seen.
+    acfa_atomic = program.acfa.atomic
 
     def counts_geq(a, b) -> bool:
         for x, y in zip(a, b):
@@ -140,12 +137,13 @@ def reach_and_build(
     covering: dict[tuple, list] = {}
 
     def is_covered(state: AbsState) -> bool:
-        pattern = tuple(
-            (state.context.count(q) is OMEGA or state.context.count(q) > 0)
-            for q in acfa_atomic
-        )
+        context = state.context
+        if acfa_atomic:
+            pattern = tuple(q for q in context.occupied() if q in acfa_atomic)
+        else:
+            pattern = ()
         key = (state.pc, state.region, pattern)
-        counts = state.context.counts
+        counts = context.counts
         kept = covering.get(key)
         if kept is None:
             covering[key] = [counts]
@@ -176,67 +174,60 @@ def reach_and_build(
         raise found_race([], init)
 
     reachable_contexts: set[ContextState] = {init.context}
-    enabled_ctx: dict[int, set[AcfaEdge]] = {}
-
     worklist: deque[AbsState] = deque([init])
     explored = 1
+
+    def admit(nxt: AbsState, state: AbsState, move: Move) -> None:
+        """Queue a successor that is neither seen nor covered."""
+        nonlocal explored
+        parent[nxt] = (state, move)
+        reachable_contexts.add(nxt.context)
+        explored += 1
+        if is_bad(nxt):
+            raise found_race(trace_to(nxt), nxt)
+        if explored > max_states:
+            raise ReachBudgetExceeded(f"more than {max_states} abstract states")
+        worklist.append(nxt)
+
+    # Main moves connect ARG locations (Connect); context moves unify them
+    # (Union).  The edge is recorded even when the successor was seen: the
+    # edge itself may be new.
+    program.begin(store)
+    post_main, post_ctx = program.post_main, program.post_ctx
     while worklist:
         state = worklist.popleft()
         if deadline is not None and time.perf_counter() > deadline:
             raise ReachBudgetExceeded("wall-clock deadline exceeded")
-        src_ts = state.thread_state()
-        src_loc = builder.find(src_ts)
-        for move in program.enabled_moves(state):
-            if isinstance(move, CtxMove):
-                enabled_ctx.setdefault(src_loc, set()).add(move.edge)
-            nxt = program.post(state, move, store)
+        src = builder.find((state.pc, state.region))
+        main_moves, ctx_moves = program.enabled(state)
+        for move in main_moves:
+            nxt = post_main(state, move, store)
             if nxt is None:
                 continue
-            # Connect regardless of whether the state was seen: the
-            # edge itself may be new.
-            if isinstance(move, MainMove):
-                builder.connect_main(src_ts, move.edge, nxt.thread_state())
-            else:
-                builder.connect_ctx(src_ts, nxt.thread_state())
-            if nxt in parent:
+            builder.connect_main(src, move.edge, (nxt.pc, nxt.region))
+            if nxt not in parent and not is_covered(nxt):
+                admit(nxt, state, move)
+        if not ctx_moves:
+            continue
+        builder.enable_ctx(src, [move.edge for move in ctx_moves])
+        for move in ctx_moves:
+            nxt = post_ctx(state, move, store)
+            if nxt is None:
                 continue
-            if is_covered(nxt):
-                continue
-            parent[nxt] = (state, move)
-            reachable_contexts.add(nxt.context)
-            explored += 1
-            if is_bad(nxt):
-                raise found_race(trace_to(nxt), nxt)
-            if explored > max_states:
-                raise ReachBudgetExceeded(
-                    f"more than {max_states} abstract states"
-                )
-            worklist.append(nxt)
+            builder.connect_ctx(src, (nxt.pc, nxt.region))
+            if nxt not in parent and not is_covered(nxt):
+                admit(nxt, state, move)
 
-    arg, provenance = builder.export(arg_name)
-    # Recompute per-export-location data.
-    roots = {
-        builder._find_root(l) for l in range(len(builder._parent))
-    }
-    renum = {root: i for i, root in enumerate(sorted(roots))}
-    arg_pc = {renum[r]: builder._pc[r] for r in roots}
-    state_location = {
-        ts: renum[builder._find_root(loc)]
-        for ts, loc in builder._state_loc.items()
-    }
-    enabled_renumed: dict[int, set[AcfaEdge]] = {}
-    for loc, edges in enabled_ctx.items():
-        enabled_renumed.setdefault(
-            renum[builder._find_root(loc)], set()
-        ).update(edges)
-
+    arg, provenance, arg_pc, state_location, enabled_ctx = builder.export(
+        arg_name
+    )
     result = ReachResult(
         arg=arg,
         provenance=provenance,
         arg_pc=arg_pc,
         states_explored=explored,
         reachable_contexts=reachable_contexts,
-        enabled_ctx_edges=enabled_renumed,
+        enabled_ctx_edges=enabled_ctx,
         state_location=state_location,
     )
     store.store_result(sig, ("ok", result))

@@ -79,3 +79,19 @@ def test_str_rendering_mentions_labels():
 def test_dot_rendering():
     dot = simple_acfa().to_dot()
     assert dot.startswith("digraph") and "n0 -> n1" in dot
+
+
+def test_edge_hash_consistent_with_equality():
+    import pickle
+
+    a = AcfaEdge(0, frozenset({"x", "y"}), 1)
+    b = AcfaEdge(0, {"y", "x"}, 1)
+    assert a == b and hash(a) == hash(b) and hash(a) == hash(a.key())
+    assert a != AcfaEdge(0, frozenset({"x"}), 1)
+    assert a != AcfaEdge(1, frozenset({"x", "y"}), 1)
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and hash(c) == hash(a)
+    with pytest.raises(AttributeError):
+        a.src = 2
+    with pytest.raises(AttributeError):
+        a._hash = 0

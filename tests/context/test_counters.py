@@ -46,6 +46,10 @@ def test_initial_states():
 def test_occupied():
     g = ContextState([0, 1, OMEGA])
     assert list(g.occupied()) == [1, 2]
+    # Cached on first use; a moved state computes its own.
+    assert g.occupied() is g.occupied()
+    assert g.move(1, 0, k=1).occupied() == (0, 2)
+    assert ContextState([0, 0]).occupied() == ()
 
 
 def test_at_least_two():
@@ -77,9 +81,30 @@ def test_hashable_value_semantics():
     a = ContextState([1, OMEGA])
     b = ContextState([1, OMEGA])
     assert a == b and hash(a) == hash(b)
+    # A move() result equals the state built from the same counts, with
+    # the same hash and occupancy, whichever of them cached it first.
+    moved = ContextState([2, OMEGA, 0]).move(0, 2, k=1)
+    built = ContextState([1, OMEGA, 1])
+    assert built.occupied() == (0, 1, 2)
+    assert moved == built and hash(moved) == hash(built)
+    assert moved.occupied() == built.occupied()
+    assert hash(moved) == hash(moved.counts)
+    assert moved != ContextState([1, OMEGA, OMEGA])
+
+
+def test_pickle_round_trip():
+    import pickle
+
+    g = ContextState([1, OMEGA])
+    g.occupied()
+    h = pickle.loads(pickle.dumps(g))
+    assert h == g and hash(h) == hash(g) and h.occupied() == (0, 1)
 
 
 def test_immutability():
     g = ContextState([1])
     with pytest.raises(AttributeError):
         g.counts = (2,)
+    for cached in ("_hash", "_occupied"):
+        with pytest.raises(AttributeError):
+            setattr(g, cached, None)

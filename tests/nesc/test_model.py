@@ -129,3 +129,40 @@ def test_paper_reference_numbers_recorded():
     table1 = [b for b in BENCHMARKS if b.paper_preds is not None]
     assert len(table1) == 11  # the 11 rows of Table 1
     assert all(b.paper_time for b in table1)
+
+
+def test_cached_access_sets_match_the_edges():
+    """CFA and ACFA access sets are computed once, on first use; they
+    must equal a per-edge recomputation at every location of the Table 1
+    CFAs and of ACFAs built from them (an ARG and its collapse)."""
+    from repro.acfa.acfa import empty_acfa
+    from repro.acfa.collapse import collapse
+    from repro.context.state import AbstractProgram
+    from repro.predabs.abstractor import Abstractor
+    from repro.predabs.region import PredicateSet
+    from repro.reach import reach_and_build
+
+    apps = {b.app.name: b.app for b in BENCHMARKS}
+    for app in apps.values():
+        cfa = app.cfa()
+        for q in cfa.locations:
+            writes = set().union(*(e.op.writes() for e in cfa.out(q)))
+            reads = set().union(*(e.op.reads() for e in cfa.out(q)))
+            assert cfa.writes_at(q) == writes
+            assert cfa.reads_at(q) == reads
+            assert cfa.accesses_at(q) == writes | reads
+            for v in cfa.variables:
+                assert cfa.may_write(q, v) == (v in writes)
+                assert cfa.may_access(q, v) == (v in writes | reads)
+        program = AbstractProgram(
+            cfa, Abstractor(PredicateSet()), empty_acfa(), 1
+        )
+        arg = reach_and_build(program).arg
+        context, _ = collapse(arg, cfa.locals)
+        for acfa in (arg, context):
+            assert any(acfa.edges)
+            for q in acfa.locations:
+                havoc = set().union(*(e.havoc for e in acfa.out(q)))
+                assert acfa.writes_at(q) == havoc
+                for v in cfa.variables:
+                    assert acfa.may_write(q, v) == (v in havoc)

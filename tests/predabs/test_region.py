@@ -1,5 +1,7 @@
 """Unit tests for regions and predicate sets."""
 
+import pytest
+
 from repro.predabs.region import BOTTOM, TOP, PredicateSet, Region
 from repro.smt import terms as T
 
@@ -72,3 +74,31 @@ def test_render():
     assert "x == 0" in r.render(P)
     assert TOP.render(P) == "true"
     assert BOTTOM.render(P) == "false"
+
+
+def test_region_hash_consistent_with_equality():
+    import pickle
+
+    from repro.predabs.region import BooleanRegion
+
+    a = Region(frozenset({(0, True), (1, False)}))
+    b = Region(frozenset({(1, False), (0, True)}))
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.literals, a.bottom))
+    assert a != Region(frozenset({(0, True)}))
+    assert Region(frozenset(), bottom=True) == BOTTOM
+    assert hash(Region(frozenset(), bottom=True)) == hash(BOTTOM)
+    assert pickle.loads(pickle.dumps(a)) == a
+    # Boolean regions hash over their cubes too, and never equal a
+    # cartesian region with the same hull.
+    cube = frozenset({(0, True), (1, False)})
+    c = BooleanRegion.from_cubes([cube])
+    d = BooleanRegion.from_cubes([frozenset(cube)])
+    assert c == d and hash(c) == hash(d)
+    assert hash(c) == hash((c.literals, c.bottom, c.cubes))
+    assert c != a
+    assert c != BooleanRegion.from_cubes([cube, frozenset({(0, True), (1, True)})])
+    e = pickle.loads(pickle.dumps(c))
+    assert type(e) is BooleanRegion and e == c and hash(e) == hash(c)
+    with pytest.raises(AttributeError):
+        a._hash = 0
