@@ -23,7 +23,7 @@ from repro.smt import terms as T
 
 def run_with_history():
     cfa = lower_source(TEST_AND_SET_SOURCE)
-    return cfa, circ(cfa, race_on="x", keep_history=True)
+    return cfa, circ(cfa, race_on="x", variant="circ", keep_history=True)
 
 
 def test_fig2_iteration1_arg_and_minimization(benchmark):

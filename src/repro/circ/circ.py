@@ -18,7 +18,8 @@ omega-CIRC replaces the unbounded (OMEGA-counted) context of the assume step
 with *exactly k* context threads, then discharges the unbounded case with
 the per-location closure check ``omega_check``: every environment transition
 enabled in the context-only reachability must preserve every ARG location's
-region.  Failure of the check bumps k and reruns.
+region.  Failure of the check bumps k and reruns.  omega-CIRC is the
+default (``variant="omega"``); ``variant="circ"`` runs plain CIRC.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def circ(
     check_errors: bool = False,
     initial_predicates: Iterable[T.Term] = (),
     k: int = 1,
-    variant: Variant = "circ",
+    variant: Variant = "omega",
     strategy: MiningStrategy = "wp-atoms",
     abstraction: str = "cartesian",
     max_outer: int = 40,
@@ -112,6 +113,10 @@ def circ(
     Returns :class:`CircSafe` or :class:`CircUnsafe`; raises
     :class:`CircError` when the iteration budget is exhausted (the problem
     is undecidable in general -- Theorem 1 gives soundness on termination).
+
+    ``variant="omega"`` (the default) runs omega-CIRC: exactly ``k``
+    context threads, discharged by the infinity-check of Section 5.
+    ``variant="circ"`` runs plain CIRC against an OMEGA-counted context.
 
     ``max_iterations`` caps the *total* number of inner iterations across
     all restarts and ``timeout_s`` caps wall-clock time; exceeding either
@@ -131,6 +136,8 @@ def circ(
     """
     if race_on is None and not check_errors:
         raise ValueError("nothing to check: give race_on or check_errors")
+    if variant not in ("circ", "omega"):
+        raise ValueError(f"unknown variant {variant!r} (expected circ or omega)")
     start_time = time.perf_counter()
     deadline = start_time + timeout_s if timeout_s is not None else None
     stats = CircStats(final_k=k)

@@ -22,12 +22,14 @@ The data carried through R is a conjunction of literals from the finite
 universe of initial-value facts and ACFA labels, so the fixpoint
 terminates; if it exceeds its budget we fall back to the coarse
 "graph-reachable" enabledness (sound: it only enables more transitions,
-making the goodness requirement stricter).
+making the goodness requirement stricter).  Either way, step 2 is
+answered from a set of enabled (source, main) location pairs computed
+once per configuration list.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..acfa.acfa import Acfa, AcfaEdge
 from ..acfa.simulate import simulation_relation
@@ -61,6 +63,13 @@ def _count_ok(counts: tuple, q: int, need: int) -> bool:
 def _context_only_reach(
     acfa: Acfa, cfa: CFA, k: int, max_states: int = MAX_CONTEXT_STATES
 ) -> Optional[list[Config]]:
+    """R: every configuration of A^infinity in breadth-first order, or
+    None past ``max_states``.
+
+    A move's successor literal set depends only on the literal set and
+    the edge, so it is computed once per (literal set, edge) pair, and
+    each literal set's satisfiability once per call.
+    """
     n = max(acfa.locations) + 1
     init_literals = frozenset(
         T.eq(T.var(g), T.num(v))
@@ -70,6 +79,26 @@ def _context_only_reach(
         init_literals,
         ContextState.initial_omega(n, acfa.q0).counts,
     )
+    labels = {q: frozenset(acfa.label[q]) for q in acfa.locations}
+    sat_memo: dict[frozenset, bool] = {}
+    transfer: dict[tuple[frozenset, AcfaEdge], Optional[frozenset]] = {}
+
+    def sat(literals: frozenset) -> bool:
+        hit = sat_memo.get(literals)
+        if hit is None:
+            hit = sat_memo[literals] = is_sat_conjunction(list(literals))
+        return hit
+
+    def post(literals: frozenset, e: AcfaEdge) -> Optional[frozenset]:
+        guard = literals | labels[e.src]
+        if not sat(guard):
+            return None
+        survivors = frozenset(
+            lit for lit in guard if not (T.free_vars(lit) & e.havoc)
+        )
+        new_literals = survivors | labels[e.dst]
+        return new_literals if sat(new_literals) else None
+
     seen = {init}
     frontier = [init]
     configs = [init]
@@ -83,18 +112,12 @@ def _context_only_reach(
             movers = atomic_occupied if atomic_occupied else occupied
             for q in movers:
                 for e in acfa.out(q):
-                    guard = list(literals) + list(acfa.label[e.src])
-                    if not is_sat_conjunction(guard):
-                        continue
-                    survivors = {
-                        lit
-                        for lit in guard
-                        if not (T.free_vars(lit) & e.havoc)
-                    }
-                    new_literals = frozenset(
-                        survivors | set(acfa.label[e.dst])
-                    )
-                    if not is_sat_conjunction(list(new_literals)):
+                    key = (literals, e)
+                    if key in transfer:
+                        new_literals = transfer[key]
+                    else:
+                        new_literals = transfer[key] = post(literals, e)
+                    if new_literals is None:
                         continue
                     moved = list(counts)
                     moved[e.src] = counter_dec(moved[e.src])
@@ -123,6 +146,37 @@ def _graph_reachable(acfa: Acfa) -> frozenset[int]:
     return frozenset(reach)
 
 
+def _enabled_pairs(configs: Optional[list[Config]], acfa: Acfa) -> frozenset:
+    """The (source, main) location pairs at which a context transition
+    leaving ``source`` is enabled for a main thread at ``main``: some
+    configuration of R has a token at the source and a distinct token at
+    main.  Without R (``None``: over budget) every pair of graph-reachable
+    locations."""
+    if configs is None:
+        coverable = _graph_reachable(acfa)
+        return frozenset((src, main) for src in coverable for main in coverable)
+    beside: dict[int, set[int]] = {}  # source -> main locations
+    for counts in {counts for _, counts in configs}:
+        occupied = frozenset(_occupied(counts))
+        for q in occupied:
+            mains = occupied if _count_ok(counts, q, 2) else occupied - {q}
+            beside.setdefault(q, set()).update(mains)
+    return frozenset(
+        (src, main) for src, mains in beside.items() for main in mains
+    )
+
+
+def _enabledness(
+    acfa: Acfa, pairs: frozenset
+) -> Callable[[AcfaEdge, int], bool]:
+    def enabled(e: AcfaEdge, a_main: int) -> bool:
+        if acfa.is_atomic(a_main):
+            return False  # main inside atomic: nobody else runs
+        return (e.src, a_main) in pairs
+
+    return enabled
+
+
 def omega_check(
     reach: ReachResult,
     acfa: Acfa,
@@ -133,10 +187,10 @@ def omega_check(
     """Is the converged k-thread context sound for arbitrarily many
     threads?  (See module docstring.)
 
-    ``store`` memoizes the context-only reachability by the ACFA's
-    signature and the per-(location, edge) goodness checks by their
-    label terms, so after a context weakening or refinement only the
-    *changed* locations are re-proved.
+    ``store`` memoizes the enabled pairs of the context-only
+    reachability by the ACFA's signature and the per-(location, edge)
+    goodness checks by their label terms, so after a context weakening
+    or refinement only the *changed* locations are re-proved.
     """
     with stage("omega"):
         return _omega_check(reach, acfa, cfa, k, store)
@@ -158,29 +212,13 @@ def _omega_check(
         k,
         MAX_CONTEXT_STATES,
     )
-    configs = store.context_reach(
-        reach_key, lambda: _context_only_reach(acfa, cfa, k)
+    pairs = store.context_reach(
+        reach_key,
+        lambda: _enabled_pairs(
+            _context_only_reach(acfa, cfa, k, MAX_CONTEXT_STATES), acfa
+        ),
     )
-    if configs is None:
-        coverable = _graph_reachable(acfa)
-
-        def enabled(e: AcfaEdge, a_main: int) -> bool:
-            if acfa.is_atomic(a_main):
-                return False  # main inside atomic: nobody else runs
-            return e.src in coverable and a_main in coverable
-
-    else:
-
-        def enabled(e: AcfaEdge, a_main: int) -> bool:
-            if acfa.is_atomic(a_main):
-                return False  # main inside atomic: nobody else runs
-            need_main = 2 if a_main == e.src else 1
-            for _, counts in configs:
-                if not _count_ok(counts, e.src, 1):
-                    continue
-                if _count_ok(counts, a_main, need_main):
-                    return True
-            return False
+    enabled = _enabledness(acfa, pairs)
 
     sim = simulation_relation(reach.arg, acfa)
     related: dict[int, set[int]] = {}

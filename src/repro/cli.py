@@ -194,7 +194,7 @@ def _cmd_check(args) -> int:
             cfa,
             name=Path(args.file).name,
             variables=None if args.all else variables,
-            variant="omega" if args.omega else "circ",
+            variant=args.variant,
             k=args.k,
         )
         Path(args.report).write_text(render_markdown(report))
@@ -231,7 +231,7 @@ def _cmd_check(args) -> int:
                     source=source,
                     thread=args.thread,
                     parallel=args.parallel,
-                    variant="omega" if args.omega else "circ",
+                    variant=args.variant,
                     k=args.k,
                     max_iterations=args.max_iterations,
                     timeout_s=args.timeout,
@@ -249,7 +249,7 @@ def _cmd_check(args) -> int:
                 result = circ(
                     cfa,
                     race_on=var,
-                    variant="omega" if args.omega else "circ",
+                    variant=args.variant,
                     k=args.k,
                     max_iterations=args.max_iterations,
                     timeout_s=args.timeout,
@@ -659,7 +659,7 @@ def _cmd_batch(args) -> int:
         )
         return 2
 
-    options = {"variant": "omega" if args.omega else "circ", "k": args.k}
+    options = {"variant": args.variant, "k": args.k}
     if args.max_iterations is not None:
         options["max_iterations"] = args.max_iterations
     if args.timeout is not None:
@@ -795,7 +795,7 @@ def _cmd_submit(args) -> int:
         )
         return EXIT_USAGE
 
-    options = {"variant": "omega" if args.omega else "circ", "k": args.k}
+    options = {"variant": args.variant, "k": args.k}
     if args.max_iterations is not None:
         options["max_iterations"] = args.max_iterations
     if args.timeout is not None:
@@ -932,6 +932,15 @@ def _cmd_fuzz(args) -> int:
     return 1 if report.hard else 0
 
 
+def _add_variant_argument(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--variant",
+        choices=("omega", "circ"),
+        default="omega",
+        help="omega-CIRC with the infinity-check (default) or plain CIRC",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-race",
@@ -944,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--var", help="global variable to check")
     p.add_argument("--all", action="store_true", help="check every written global")
     p.add_argument("--thread", help="thread name for multi-thread files")
-    p.add_argument("--omega", action="store_true", help="use the infinity-check variant")
+    _add_variant_argument(p)
     p.add_argument("-k", type=int, default=1, help="initial counter bound")
     p.add_argument("-v", "--verbose", action="store_true")
     p.add_argument(
@@ -1125,7 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--events", metavar="FILE", help="append JSONL telemetry to FILE"
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--omega", action="store_true", help="use the infinity-check variant")
+    _add_variant_argument(p)
     p.add_argument("-k", type=int, default=1, help="initial counter bound")
     p.add_argument(
         "--no-prefilter",
@@ -1276,7 +1285,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stream per-job telemetry frames to stderr",
     )
-    p.add_argument("--omega", action="store_true", help="use the infinity-check variant")
+    _add_variant_argument(p)
     p.add_argument("-k", type=int, default=1, help="initial counter bound")
     p.add_argument(
         "--max-iterations",

@@ -18,12 +18,14 @@ classifies its shared variables through the static pre-analysis
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..cfa.cfa import CFA
+from ..circ.circ import circ
 from ..circ.result import CircResult
 from ..lang.lower import lower_source
 from ..races.spec import racy_variables
@@ -104,8 +106,21 @@ _SALIENT_OPTIONS = (
 )
 
 
+#: :func:`~repro.circ.circ`'s defaults for the salient options it takes.
+_SALIENT_DEFAULTS = {
+    name: param.default
+    for name, param in inspect.signature(circ).parameters.items()
+    if name in _SALIENT_OPTIONS
+}
+
+
 def options_fingerprint(options: dict) -> str:
-    """A stable fingerprint of the verdict-relevant verifier options."""
+    """A stable fingerprint of the verdict-relevant verifier options.
+
+    An option the caller left out counts as :func:`~repro.circ.circ`'s
+    default, so omitting an option and passing its default key alike.
+    """
+    options = {**_SALIENT_DEFAULTS, **options}
     salient = {
         key: options[key]
         for key in _SALIENT_OPTIONS

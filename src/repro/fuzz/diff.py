@@ -1,12 +1,13 @@
 """Differential runner: every verdict path against the reference oracle.
 
-Each generated program is pushed through eight verdict paths -- plain
-``circ()``, ``check_race(prefilter=True)``, the batch engine cold and
-warm (two :func:`~repro.engine.verify_one` calls against one fresh
-cache directory), the lockset/flowcheck baselines, the two-phase
+Each generated program is pushed through nine verdict paths -- plain
+CIRC and omega-CIRC (``circ()`` with ``variant="circ"`` and
+``variant="omega"``), ``check_race(prefilter=True)``, the batch engine
+cold and warm (two :func:`~repro.engine.verify_one` calls against one
+fresh cache directory), the lockset/flowcheck baselines, the two-phase
 ``racer`` detector, and the cross-cancelling ``portfolio`` driver --
 and every verdict is compared against the :mod:`repro.fuzz.oracle`
-verdict.
+verdict.  The paths after ``omega`` run the library default, omega-CIRC.
 
 Disagreement taxonomy (``HARD_CLASSES`` fail the build):
 
@@ -73,6 +74,7 @@ __all__ = [
 #: The verdict paths under differential test, in reporting order.
 PATHS = (
     "circ",
+    "omega",
     "prefilter",
     "engine-cold",
     "engine-warm",
@@ -213,7 +215,13 @@ def _run_paths(cfa: CFA, race_var: str, config: FuzzConfig) -> list[PathResult]:
             return "race", result.n_threads, tuple(result.steps), ""
         return "unknown", 0, (), result.reason
 
-    run("circ", lambda: from_circ(circ(cfa, race_on=race_var, **opts)))
+    def run_circ(variant: str) -> tuple:
+        return from_circ(
+            circ(cfa, race_on=race_var, **{**opts, "variant": variant})
+        )
+
+    run("circ", lambda: run_circ("circ"))
+    run("omega", lambda: run_circ("omega"))
     run(
         "prefilter",
         lambda: from_circ(prefilter_check(cfa, race_var, **opts)),

@@ -63,8 +63,9 @@ def check_race(
     symmetric threads, via the CIRC algorithm.
 
     ``program`` may be mini-C source text or a lowered CFA.  Keyword options
-    are forwarded to :func:`repro.circ.circ` (``variant="omega"`` selects
-    the infinity-check optimization, ``k`` the initial counter, ...).
+    are forwarded to :func:`repro.circ.circ` (``variant="circ"`` selects
+    plain CIRC instead of the default infinity-check variant, ``k`` the
+    initial counter, ...).
 
     With ``prefilter=True`` the static pre-analysis
     (:mod:`repro.static`) runs first: when it classifies ``variable`` as

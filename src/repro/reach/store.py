@@ -92,7 +92,7 @@ class ArgStore:
         self._results = LruCache(RESULT_MEMO_SIZE)
         # (label_n, havoc, dst_label) -> bool  (omega goodness; pure in key)
         self._omega_good = LruCache(POST_MEMO_SIZE)
-        # (acfa sig, init, k, budget) -> context-only reach configs (or None)
+        # (acfa sig, init, k, budget) -> omega-check enabled (src, main) pairs
         self._ctx_reach: dict = {}
         # (arg sig, locals, name) -> (quotient acfa, mu)
         self._collapse: dict = {}

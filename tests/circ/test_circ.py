@@ -122,6 +122,14 @@ def test_requires_a_question():
         circ(cfa)
 
 
+def test_unknown_variant_rejected():
+    # Anything but "circ" would otherwise explore with exactly k context
+    # threads, and anything but "omega" would skip the infinity-check.
+    cfa = lower_source("global int x; thread t { x = 1; }")
+    with pytest.raises(ValueError, match="unknown variant"):
+        circ(cfa, race_on="x", variant="Omega")
+
+
 def test_assertion_checking_mode():
     src = """
     global int g;

@@ -2,7 +2,8 @@
 
 Re-verifying a program against the store its first run filled must
 return the same verdict, the same discovered predicates, and the same
-exploration statistics, while answering from the store's result memo.
+exploration statistics, while answering from the store's result memo,
+under plain CIRC and omega-CIRC alike.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +21,7 @@ SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 seeds = st.integers(min_value=0, max_value=100_000)
+variants = st.sampled_from(("circ", "omega"))
 
 BUDGET = dict(max_outer=6, max_inner=40, timeout_s=20.0)
 
@@ -51,15 +53,15 @@ def _observables(result):
 
 
 @settings(**SETTINGS)
-@given(seeds)
-def test_shared_store_across_repeated_runs_is_stable(seed):
+@given(seeds, variants)
+def test_shared_store_across_repeated_runs_is_stable(seed, variant):
     """Re-verifying the same program against a warm store changes
     nothing observable and reports result-level reuse."""
     gp = generate(seed, GenConfig(pointers=False))
     cfa = lower_thread(gp.program, gp.thread)
     store = ArgStore()
-    first = _run(cfa, gp.race_var, store=store)
-    second = _run(cfa, gp.race_var, store=store)
+    first = _run(cfa, gp.race_var, store=store, variant=variant)
+    second = _run(cfa, gp.race_var, store=store, variant=variant)
     if first is None or second is None:
         return
     assert _observables(second) == _observables(first)

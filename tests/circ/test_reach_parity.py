@@ -1,10 +1,11 @@
 """The exploration kernel explores exactly like the reference loop.
 
-Cartesian CIRC runs with ``keep_history=True`` record the inputs of every
-inner iteration: predicates, counter bound and context ACFA.  For each one
-the production :func:`~repro.reach.explore.reach_and_build` and the
-reference loop in ``reach_reference.py`` run on the same inputs with
-fresh stores; every output of the run must agree: the states explored,
+Cartesian plain-CIRC runs (``variant="circ"``) with ``keep_history=True``
+record the inputs of every inner iteration: predicates, counter bound and
+context ACFA.  For each one the production
+:func:`~repro.reach.explore.reach_and_build` and the reference loop in
+``reach_reference.py`` run on the same inputs with fresh stores; every
+output of the run must agree: the states explored,
 the exported ARG and its per-location data, the reachable contexts, the
 race trace and state, and the store's counters.
 
@@ -67,6 +68,7 @@ def _recorded():
             result = circ(
                 cfa,
                 race_on=var,
+                variant="circ",
                 keep_history=True,
                 max_outer=25,
                 max_inner=25,

@@ -3,10 +3,10 @@
 The store records, for every post memo entry, the free variables its key
 formulas mention; subtree invalidation intersects those recorded sets
 against each new predicate's support.  Both sides come from the per-node
-``free_vars`` memo, so each example populates a store with a CIRC run
-and checks it against independent oracles: the recorded sets against
-from-scratch structural walks, invalidation against the entries whose
-walked support meets the probe.  The populating run's verdict is checked
+``free_vars`` memo, so each example populates a store with a CIRC or
+omega-CIRC run and checks it against independent oracles: the recorded
+sets against from-scratch structural walks, invalidation against the
+entries whose walked support meets the probe.  The populating run's verdict is checked
 too, against the explicit-state checker of :mod:`repro.fuzz.oracle`.
 """
 
@@ -28,6 +28,7 @@ SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 seeds = st.integers(min_value=0, max_value=100_000)
+variants = st.sampled_from(("circ", "omega"))
 
 BUDGET = dict(max_outer=6, max_inner=40, timeout_s=20.0)
 
@@ -41,11 +42,11 @@ def _run(cfa, race_on, **kwargs):
         return None
 
 
-def _populated_store(seed):
+def _populated_store(seed, variant):
     gp = generate(seed, GenConfig(pointers=False))
     cfa = lower_thread(gp.program, gp.thread)
     store = ArgStore()
-    result = _run(cfa, gp.race_var, store=store)
+    result = _run(cfa, gp.race_var, store=store, variant=variant)
     return store, gp, cfa, result
 
 
@@ -102,9 +103,9 @@ def _path(result):
 
 
 @settings(**SETTINGS)
-@given(seeds)
-def test_recorded_supports_match_structural_walk(seed):
-    store, gp, cfa, result = _populated_store(seed)
+@given(seeds, variants)
+def test_recorded_supports_match_structural_walk(seed, variant):
+    store, gp, cfa, result = _populated_store(seed, variant)
     # The populating run must not hard-disagree with the oracle's verdict.
     oracle = oracle_check(gp.program, gp.thread, gp.race_var)
     hard = [
@@ -121,9 +122,9 @@ def test_recorded_supports_match_structural_walk(seed):
 
 
 @settings(**SETTINGS)
-@given(seeds)
-def test_invalidation_drops_exactly_what_the_old_walk_would(seed):
-    store, gp, _, _ = _populated_store(seed)
+@given(seeds, variants)
+def test_invalidation_drops_exactly_what_the_old_walk_would(seed, variant):
+    store, gp, _, _ = _populated_store(seed, variant)
     if store._abstractor is None:
         return
     main, ctx = _oracle_supports(store)
@@ -149,9 +150,9 @@ def test_invalidation_drops_exactly_what_the_old_walk_would(seed):
 
 
 def test_degenerate_predicate_forces_a_full_drop():
-    store = _populated_store(7)[0]
+    store = _populated_store(7, "circ")[0]
     if store._abstractor is None or not len(store._main_post):
-        store = _populated_store(0)[0]
+        store = _populated_store(0, "circ")[0]
     v = T.var("q")
     store._invalidate_for_predicates([T.eq(v, v)])  # valid: degenerate
     assert len(store._main_post) == 0

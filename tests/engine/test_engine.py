@@ -5,7 +5,13 @@ import json
 import pytest
 
 from repro.circ.circ import circ
-from repro.engine import BatchItem, EventLog, run_batch, verify_one
+from repro.engine import (
+    BatchItem,
+    EventLog,
+    options_fingerprint,
+    run_batch,
+    verify_one,
+)
 from repro.lang.lower import lower_source
 
 BELT = """
@@ -251,6 +257,14 @@ def test_portfolio_and_circ_only_never_share_cache(tmp_path):
     assert not events.of_kind("cache_hit")
     (row,) = report.rows
     assert row.verdict == "safe" and row.source != "cache"
+
+
+def test_omitted_options_key_the_cache_as_circ_defaults():
+    """A library call with no options and a CLI call spelling out the
+    defaults compute the same thing, so they share cache keys; plain
+    CIRC keys apart from the default omega-CIRC."""
+    fp = options_fingerprint
+    assert fp({}) == fp({"variant": "omega", "k": 1}) != fp({"variant": "circ"})
 
 
 def test_portfolio_conflict_downgrades_to_unknown(tmp_path, monkeypatch):

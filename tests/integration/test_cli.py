@@ -86,7 +86,14 @@ def test_check_verbose_shows_predicates(fig1_file, capsys):
 
 
 def test_check_omega_variant(fig1_file, capsys):
-    assert main(["check", fig1_file, "--var", "x", "--omega"]) == 0
+    assert main(["check", fig1_file, "--var", "x", "--variant", "omega"]) == 0
+
+
+@pytest.mark.parametrize("fixture, want", [("fig1_file", 0), ("racy_file", 1)])
+def test_check_plain_circ_variant_matches_default(fixture, want, request):
+    path = request.getfixturevalue(fixture)
+    assert main(["check", path, "--var", "x"]) == want
+    assert main(["check", path, "--var", "x", "--variant", "circ"]) == want
 
 
 def test_check_requires_var(fig1_file, capsys):
