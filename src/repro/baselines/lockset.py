@@ -14,19 +14,14 @@ implements the classic static variant:
 Sound for lock-disciplined programs, but -- by design -- it warns on the
 test-and-set idiom of Figure 1, which CIRC proves safe.
 
-Beyond the classic warner, this module also exposes the *phase-1
-primitives* of the RacerF-style two-phase detector in
-:mod:`repro.portfolio.racer`:
-
-* :func:`may_escape` -- the globals another thread could observe at all
-  (accessed at some reachable location of the shared template);
-* :func:`must_locksets` -- per-location must-held synchronization,
-  richer than the tag-only dataflow of :func:`lockset_analysis` because
-  it includes the *inferred* monitors of :mod:`repro.static.protect`
-  (validated test-and-set flags), not just syntactic ``lock()`` tags.
-
-``lockset_analysis`` itself is deliberately left at Eraser strength: the
-paper's comparison needs the baseline to keep warning on Figure 1.
+The analysis keeps its own tag-only dataflow (:func:`_locks_held`) on
+purpose.  It stands for the lockset checkers the paper compares against,
+which see only ``lock()`` tags and atomic sections.  The monitor-aware
+phase-1 facts of :class:`repro.static.mhp.MhpReport`, which the static
+pass and the portfolio's racer and abstract interpreter share, also
+validate test-and-set flags, and would make the baseline a different
+analysis.  The :data:`ATOMIC_LOCK` pseudo-lock lives in
+:mod:`repro.static.protect` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -35,18 +30,14 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..cfa.cfa import CFA, AssumeOp, Edge
+from ..static.protect import ATOMIC_LOCK
 
 __all__ = [
     "ATOMIC_LOCK",
     "LocksetWarning",
     "LocksetReport",
     "lockset_analysis",
-    "may_escape",
-    "must_locksets",
 ]
-
-#: Pseudo-lock representing nesC atomic sections.
-ATOMIC_LOCK = "<atomic>"
 
 
 @dataclass(frozen=True)
@@ -117,39 +108,6 @@ def _locks_held(cfa: CFA) -> dict[int, frozenset[str]]:
                 held[e.dst] = new
                 changed = True
     return held
-
-
-def may_escape(cfa: CFA) -> frozenset[str]:
-    """Globals that may escape to another thread.
-
-    In the symmetric model every thread runs the same template, so a
-    global escapes exactly when some *reachable* location accesses it --
-    an unreachable access can never be observed, and a never-accessed
-    global cannot race no matter how it is shared.
-    """
-    # Imported lazily: static.protect imports ATOMIC_LOCK from here.
-    from ..static.protect import reachable_locations
-
-    reach = reachable_locations(cfa)
-    escaped = set()
-    for g in cfa.globals:
-        if any(cfa.may_access(q, g) for q in reach):
-            escaped.add(g)
-    return frozenset(escaped)
-
-
-def must_locksets(cfa: CFA, monitors=None) -> dict[int, frozenset[str]]:
-    """Monitor-aware must-locksets: synchronization surely held per location.
-
-    Extends the tag-only :func:`_locks_held` dataflow with the inferred
-    monitors of :func:`repro.static.protect.infer_monitors` -- validated
-    test-and-set flags count as locks here, which is exactly what the
-    Eraser discipline misses on Figure 1.  ``monitors`` may be supplied
-    to share one inference run across analyses.
-    """
-    from ..static.protect import held_locks
-
-    return held_locks(cfa, monitors)
 
 
 def lockset_analysis(

@@ -144,6 +144,11 @@ class CFA:
     def is_atomic(self, q: int) -> bool:
         return q in self.atomic
 
+    def require_global(self, variable: str) -> None:
+        """Raise ValueError unless ``variable`` is a global (race target)."""
+        if variable not in self.globals:
+            raise ValueError(f"{variable!r} is not a global of the program")
+
     def validate(self) -> None:
         """Check well-formedness; raises ValueError on violations."""
         if self.q0 not in self.locations:

@@ -136,6 +136,8 @@ def circ(
     """
     if race_on is None and not check_errors:
         raise ValueError("nothing to check: give race_on or check_errors")
+    if race_on is not None:
+        cfa.require_global(race_on)
     if variant not in ("circ", "omega"):
         raise ValueError(f"unknown variant {variant!r} (expected circ or omega)")
     start_time = time.perf_counter()

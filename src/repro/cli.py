@@ -326,17 +326,19 @@ def _cmd_explore(args) -> int:
 def _cmd_baselines(args) -> int:
     from .portfolio import absint_check, racer_check
     from .races.report import rows_from_baselines
+    from .static import mhp_analysis
 
     cfa = _load(args.file, args.thread)
     variables = (
         [args.var] if args.var else sorted(racy_variables(cfa))
     )
     lockset = lockset_analysis(cfa)
+    facts = mhp_analysis(cfa)
     races = unknown = 0
     all_rows = []
     for var in variables:
-        racer = racer_check(cfa, var)
-        absint = absint_check(cfa, var)
+        racer = racer_check(cfa, var, facts=facts)
+        absint = absint_check(cfa, var, facts=facts)
         stateless = thread_modular(cfa, var)
         all_rows.extend(
             rows_from_baselines(

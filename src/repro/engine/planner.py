@@ -145,8 +145,6 @@ def plan(
     """Lower, classify, digest, and deduplicate a batch of queries."""
     from ..static.classify import classify
     from ..static.prefilter import StaticSafe
-    from ..acfa.acfa import empty_acfa
-    from ..circ.result import CircStats
 
     options = dict(options or {})
     events = events or EventLog()
@@ -178,17 +176,8 @@ def plan(
             if report is not None:
                 vv = report.verdict(v)
                 if vv.prunable:
-                    proof = StaticSafe(
-                        variable=v,
-                        predicates=(),
-                        context=empty_acfa(),
-                        stats=CircStats(
-                            elapsed_seconds=(
-                                time.perf_counter() - vstart
-                            )
-                        ),
-                        static_verdict=vv.verdict,
-                        reason=vv.reason,
+                    proof = StaticSafe.from_verdict(
+                        vv, time.perf_counter() - vstart
                     )
                     done.append(
                         JobResult(

@@ -13,13 +13,17 @@ This module serves three roles in the reproduction:
 * a *counterexample validator* -- CIRC's concrete error traces are replayed
   step by step;
 * the *ModelCheck* procedure of Appendix A builds on the same machinery.
+
+:func:`breadth_first_search` is the one explicit-state search loop:
+:func:`explore` runs it to the first bad state, and the portfolio racer's
+phase 2 runs it until every watched location pair has a witness.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..cfa.cfa import CFA, AssignOp, AssumeOp, Edge
 from ..smt.terms import evaluate
@@ -29,6 +33,8 @@ __all__ = [
     "MultiProgram",
     "ExploreResult",
     "RaceWitness",
+    "Search",
+    "breadth_first_search",
     "explore",
     "replay",
 ]
@@ -192,6 +198,21 @@ class MultiProgram:
             for i, (pc, _) in enumerate(state.threads)
         )
 
+    def bad_state_test(
+        self, race_on: str | None, check_errors: bool
+    ) -> Callable[[ConcreteState], bool]:
+        """Is a state a race on ``race_on`` (or, with ``check_errors``, an
+        assertion failure)?  Rejects a ``race_on`` that is not a global."""
+        if race_on is not None:
+            self.cfas[0].require_global(race_on)
+
+        def is_bad(state: ConcreteState) -> bool:
+            return (
+                race_on is not None and self.is_race_state(state, race_on)
+            ) or (check_errors and self.is_error_state(state))
+
+        return is_bad
+
 
 @dataclass
 class RaceWitness:
@@ -220,6 +241,82 @@ class ExploreResult:
         return self.witness is not None
 
 
+@dataclass
+class Search:
+    """What one :func:`breadth_first_search` left behind.
+
+    ``parent`` maps every discovered state to the state, thread and edge
+    that first reached it (``None`` for the initial state).  ``ended`` says
+    why the search ended: ``"stopped"`` (the stop test held at ``goal``),
+    ``"exhausted"`` (no undiscovered state is left), ``"budget"``
+    (``max_states`` states discovered), ``"deadline"`` or ``"cancelled"``.
+    """
+
+    parent: dict[ConcreteState, tuple[ConcreteState, int, Edge] | None]
+    visited: int
+    ended: str
+    goal: Optional[ConcreteState] = None
+
+    def witness(self, state: ConcreteState) -> RaceWitness:
+        """The first-discovery path from the initial state to ``state``."""
+        steps: list[tuple[int, Edge]] = []
+        chain: list[ConcreteState] = [state]
+        cur = state
+        while self.parent[cur] is not None:
+            prev, thread, edge = self.parent[cur]
+            steps.append((thread, edge))
+            chain.append(prev)
+            cur = prev
+        steps.reverse()
+        chain.reverse()
+        return RaceWitness(steps, chain)
+
+
+def breadth_first_search(
+    program: MultiProgram,
+    stop: Callable[[ConcreteState], bool],
+    max_states: int,
+    deadline: float | None = None,
+    should_stop: Optional[Callable[[], bool]] = None,
+) -> Search:
+    """Breadth-first search of the reachable states until ``stop`` holds.
+
+    ``stop`` sees every state once, in discovery order (the initial state
+    first), and ends the search by returning True.  The search also ends
+    after ``max_states`` discovered states, once the optional ``deadline``
+    (an absolute :func:`time.perf_counter` instant, checked per expanded
+    state) has passed, or when ``should_stop`` (polled once per BFS level)
+    returns True.
+    """
+    init = program.initial()
+    parent: dict[ConcreteState, tuple[ConcreteState, int, Edge] | None] = {
+        init: None
+    }
+    if stop(init):
+        return Search(parent, 1, "stopped", init)
+    frontier = [init]
+    visited = 1
+    while frontier:
+        if should_stop is not None and should_stop():
+            return Search(parent, visited, "cancelled")
+        next_frontier: list[ConcreteState] = []
+        for state in frontier:
+            if deadline is not None and time.perf_counter() > deadline:
+                return Search(parent, visited, "deadline")
+            for thread, edge, nxt in program.successors(state):
+                if nxt in parent:
+                    continue
+                parent[nxt] = (state, thread, edge)
+                visited += 1
+                if stop(nxt):
+                    return Search(parent, visited, "stopped", nxt)
+                if visited >= max_states:
+                    return Search(parent, visited, "budget")
+                next_frontier.append(nxt)
+        frontier = next_frontier
+    return Search(parent, visited, "exhausted")
+
+
 def explore(
     program: MultiProgram,
     race_on: str | None = None,
@@ -235,54 +332,11 @@ def explore(
     absolute :func:`time.perf_counter` instant -- was exhausted first, in
     which case the absence of a witness is inconclusive.
     """
-
-    def is_bad(s: ConcreteState) -> bool:
-        if race_on is not None and program.is_race_state(s, race_on):
-            return True
-        if check_errors and program.is_error_state(s):
-            return True
-        return False
-
-    init = program.initial()
-    parent: dict[ConcreteState, tuple[ConcreteState, int, Edge] | None] = {
-        init: None
-    }
-    frontier = [init]
-    visited = 1
-
-    def witness_for(state: ConcreteState) -> RaceWitness:
-        steps: list[tuple[int, Edge]] = []
-        chain: list[ConcreteState] = [state]
-        cur = state
-        while parent[cur] is not None:
-            prev, thread, edge = parent[cur]
-            steps.append((thread, edge))
-            chain.append(prev)
-            cur = prev
-        steps.reverse()
-        chain.reverse()
-        return RaceWitness(steps, chain)
-
-    if is_bad(init):
-        return ExploreResult(visited, True, witness_for(init))
-
-    while frontier:
-        next_frontier: list[ConcreteState] = []
-        for state in frontier:
-            if deadline is not None and time.perf_counter() > deadline:
-                return ExploreResult(visited, False, None)
-            for thread, edge, nxt in program.successors(state):
-                if nxt in parent:
-                    continue
-                parent[nxt] = (state, thread, edge)
-                visited += 1
-                if is_bad(nxt):
-                    return ExploreResult(visited, True, witness_for(nxt))
-                if visited >= max_states:
-                    return ExploreResult(visited, False, None)
-                next_frontier.append(nxt)
-        frontier = next_frontier
-    return ExploreResult(visited, True, None)
+    is_bad = program.bad_state_test(race_on, check_errors)
+    search = breadth_first_search(program, is_bad, max_states, deadline)
+    if search.ended == "stopped":
+        return ExploreResult(search.visited, True, search.witness(search.goal))
+    return ExploreResult(search.visited, search.ended == "exhausted", None)
 
 
 def replay(

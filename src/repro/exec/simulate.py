@@ -58,6 +58,7 @@ def simulate(
     enabled); if every thread exhausted its out-edges the run terminated
     normally.
     """
+    is_bad = program.bad_state_test(race_on, check_errors)
     rng = random.Random(seed)
     steps_total = 0
     deadlocks = 0
@@ -68,13 +69,6 @@ def simulate(
             program.cfas[i].out(state.thread_pc(i))
             for i in range(program.n_threads)
         )
-
-    def is_bad(state: ConcreteState) -> bool:
-        if race_on is not None and program.is_race_state(state, race_on):
-            return True
-        if check_errors and program.is_error_state(state):
-            return True
-        return False
 
     for run in range(runs):
         state = program.initial()

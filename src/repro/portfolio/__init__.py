@@ -3,20 +3,23 @@
 Three analyses of complementary strength run against one query:
 
 * :mod:`repro.portfolio.racer` -- a RacerF-style two-phase static
-  detector: may-escape / must-lockset / MHP pruning, then per-pair
-  refinement that emits either a replayable interleaving witness or a
-  per-pair impossibility proof, never a bare warning;
+  detector: may-escape / must-lockset / MHP pruning over the phase-1
+  facts of :class:`repro.static.mhp.MhpReport`, then a per-pair search
+  on the interpreter's breadth-first search that emits either a
+  replayable interleaving witness or a per-pair impossibility proof,
+  never a bare warning;
 * :mod:`repro.portfolio.absint` -- a digest-keyed abstract-interpretation
   pass (interval + lock domain) whose semantic reachability refutes
   conflicting pairs the graph-level MHP cannot, cached in the artifact
   store for warm reuse;
 * CIRC itself -- the only analysis that can decide *every* instance.
 
-:mod:`repro.portfolio.driver` schedules them with cross-cancellation
-(a confident verdict kills the still-running analyses), reconciles
-verdicts (any confident disagreement is a hard error), and feeds
-per-analysis win rates back into the scheduling order through
-:mod:`repro.portfolio.winrate`.
+The racer and absint read the same phase-1 facts, which
+:mod:`repro.portfolio.driver` builds at most once per query.  The driver
+schedules the analyses with cross-cancellation (a confident verdict
+kills the still-running analyses), reconciles verdicts (any confident
+disagreement is a hard error), and feeds per-analysis win rates back
+into the scheduling order through :mod:`repro.portfolio.winrate`.
 """
 
 from .absint import AbsintReport, absint_check

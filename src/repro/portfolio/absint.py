@@ -18,9 +18,9 @@ environment for the variables in scope, computed as a two-level fixpoint.
   the same scheduling rule that powers the MHP atomic kill).  The
   summary is widened between rounds, so the outer loop terminates too.
 
-The **lock domain** rides along unchanged from the must-lockset
-analysis: per-location must-held monitors (including the atomic
-pseudo-lock) refute pairs exactly as in MHP.
+The **lock domain** rides along unchanged from the phase-1 facts of
+:class:`repro.static.mhp.MhpReport`: per-location must-held monitors
+(including the atomic pseudo-lock) refute pairs exactly as in MHP.
 
 The verdict is deliberately one-sided: ``safe`` when every conflicting
 access pair is refuted -- by *semantic* unreachability (interval-bottom
@@ -38,7 +38,7 @@ summary was computed on a byte-identical relevant slice.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from ..cfa.cfa import CFA, AssignOp, AssumeOp
@@ -46,8 +46,7 @@ from ..engine.cache import ArtifactCache
 from ..engine.digest import slice_digest
 from ..engine.events import EventLog
 from ..smt import terms as T
-from ..static.mhp import MhpReport
-from ..static.protect import Monitor, held_locks, infer_monitors
+from ..static.mhp import MhpReport, mhp_analysis
 
 __all__ = ["Interval", "AbsintReport", "absint_check", "ABSINT_SCHEMA"]
 
@@ -420,9 +419,8 @@ def _analyze(cfa: CFA) -> tuple[dict[int, Optional[Env]], int]:
 def _verdict(
     cfa: CFA,
     variable: str,
-    facts: dict[int, Optional[Env]],
-    monitors: tuple[Monitor, ...],
-    locks: dict[int, frozenset[str]],
+    envs: dict[int, Optional[Env]],
+    facts: MhpReport,
 ) -> tuple[str, str, tuple, tuple, frozenset[int]]:
     """Refute conflicting pairs with semantic reachability + locks.
 
@@ -430,14 +428,8 @@ def _verdict(
     replaced by non-bottom interval environments -- a strict refinement,
     since the abstract semantics over-approximates every interleaving.
     """
-    reachable = frozenset(q for q, env in facts.items() if env is not None)
-    mhp = MhpReport(
-        cfa_name=cfa.name,
-        reachable=reachable,
-        atomic=cfa.atomic,
-        held=locks,
-        monitors=monitors,
-    )
+    reachable = frozenset(q for q, env in envs.items() if env is not None)
+    mhp = replace(facts, reachable=reachable)
     sites = sorted(q for q in reachable if variable in cfa.accesses_at(q))
     writes = [q for q in sites if variable in cfa.writes_at(q)]
     if not sites:
@@ -446,18 +438,8 @@ def _verdict(
         return "safe", "no semantically reachable write site", (), (), reachable
     refuted = []
     surviving = []
-    all_sites = sorted(
-        q for q in cfa.locations if variable in cfa.accesses_at(q)
-    )
-    write_sites = {q for q in all_sites if variable in cfa.writes_at(q)}
-    for i, q1 in enumerate(all_sites):
-        for q2 in all_sites[i:]:
-            if q1 not in write_sites and q2 not in write_sites:
-                continue
-            if mhp.race_pair(q1, q2):
-                surviving.append((q1, q2))
-            else:
-                refuted.append((q1, q2))
+    for pair in mhp.access_pairs(cfa, variable):
+        (surviving if mhp.race_pair(*pair) else refuted).append(pair)
     if not surviving:
         return (
             "safe",
@@ -526,14 +508,17 @@ def absint_check(
     variable: str,
     cache: ArtifactCache | None = None,
     events: EventLog | None = None,
-    monitors: tuple[Monitor, ...] | None = None,
+    facts: MhpReport | None = None,
 ) -> AbsintReport:
     """Run (or recall) the abstract interpretation for one query.
 
     With a cache, the summary is keyed by the slice digest: any program
     whose relevant slice is byte-identical -- reformatted, renamed
     outside the slice, edited in unrelated threads -- answers from disk.
+    ``facts`` lets callers share one :func:`~repro.static.mhp.mhp_analysis`
+    run across analyses of the same CFA.
     """
+    cfa.require_global(variable)
     events = events or EventLog()
     digest = slice_digest(cfa, variable)
     key = f"{ABSINT_SCHEMA}:{digest}"
@@ -548,12 +533,11 @@ def absint_check(
         events.emit("absint_cache_miss", digest=digest[:12])
 
     start = time.perf_counter()
-    if monitors is None:
-        monitors = infer_monitors(cfa)
-    locks = held_locks(cfa, monitors)
-    facts, _rounds = _analyze(cfa)
+    if facts is None:
+        facts = mhp_analysis(cfa)
+    envs, _rounds = _analyze(cfa)
     verdict, reason, refuted, surviving, reachable = _verdict(
-        cfa, variable, facts, monitors, locks
+        cfa, variable, envs, facts
     )
     report = AbsintReport(
         variable=variable,
@@ -561,9 +545,9 @@ def absint_check(
         reason=reason,
         reachable=reachable,
         intervals={
-            q: env for q, env in facts.items() if env is not None
+            q: env for q, env in envs.items() if env is not None
         },
-        locks=locks,
+        locks=facts.held,
         pairs_refuted=refuted,
         pairs_surviving=surviving,
         time_ms=(time.perf_counter() - start) * 1000.0,

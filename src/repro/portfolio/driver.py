@@ -31,9 +31,10 @@ docs/ALGORITHM.md section 12 for the full argument.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..acfa.acfa import empty_acfa
 from ..cfa.cfa import CFA, Edge
@@ -48,6 +49,7 @@ from ..circ.result import (
 from ..engine.cache import ArtifactCache
 from ..engine.events import EventLog
 from ..exec.interp import MultiProgram, replay
+from ..static.mhp import MhpReport, mhp_analysis
 from .absint import absint_check
 from .racer import racer_check
 from .winrate import DEFAULT_ORDER, WinRateBook, shape_class
@@ -279,6 +281,7 @@ def run_portfolio(
     not cross the process boundary).  Keyword options are forwarded to
     :func:`repro.circ.circ`.
     """
+    cfa.require_global(variable)
     events = events or EventLog()
     start = time.perf_counter()
     shape = shape_class(cfa, variable)
@@ -293,16 +296,18 @@ def run_portfolio(
         parallel=bool(parallel and source),
     )
     outcomes: list[AnalysisOutcome] = []
+    # The phase-1 facts both baselines read, built by the first to run.
+    facts = functools.cache(functools.partial(mhp_analysis, cfa))
 
     if parallel and source is not None and "circ" in order:
         _run_parallel(
-            cfa, variable, source, thread, order, cancel,
+            cfa, variable, facts, source, thread, order, cancel,
             racer_max_threads, racer_max_states, circ_options,
             cache, events, outcomes,
         )
     else:
         _run_serial(
-            cfa, variable, order, cancel,
+            cfa, variable, facts, order, cancel,
             racer_max_threads, racer_max_states, circ_options,
             cache, events, outcomes,
         )
@@ -347,6 +352,7 @@ def _baseline_outcome(
     name: str,
     cfa: CFA,
     variable: str,
+    facts: Callable[[], MhpReport],
     racer_max_threads: int,
     racer_max_states: int,
     cache: ArtifactCache | None,
@@ -360,6 +366,7 @@ def _baseline_outcome(
             variable,
             max_threads=racer_max_threads,
             max_states=racer_max_states,
+            facts=facts(),
             should_stop=should_stop,
         )
         return AnalysisOutcome(
@@ -372,7 +379,9 @@ def _baseline_outcome(
             cancelled=r.cancelled,
         )
     if name == "absint":
-        a = absint_check(cfa, variable, cache=cache, events=events)
+        a = absint_check(
+            cfa, variable, cache=cache, events=events, facts=facts()
+        )
         return AnalysisOutcome(
             analysis="absint",
             verdict=a.verdict,
@@ -383,7 +392,7 @@ def _baseline_outcome(
 
 
 def _run_serial(
-    cfa, variable, order, cancel,
+    cfa, variable, facts, order, cancel,
     racer_max_threads, racer_max_states, circ_options,
     cache, events, outcomes,
 ) -> None:
@@ -414,7 +423,7 @@ def _run_serial(
             )
         else:
             outcome = _baseline_outcome(
-                name, cfa, variable,
+                name, cfa, variable, facts,
                 racer_max_threads, racer_max_states, cache, events,
             )
         outcomes.append(outcome)
@@ -430,7 +439,7 @@ def _run_serial(
 
 
 def _run_parallel(
-    cfa, variable, source, thread, order, cancel,
+    cfa, variable, facts, source, thread, order, cancel,
     racer_max_threads, racer_max_states, circ_options,
     cache, events, outcomes,
 ) -> None:
@@ -452,7 +461,7 @@ def _run_parallel(
     except OSError as exc:
         events.emit("worker_failed", worker=worker.id, reason=str(exc))
         _run_serial(
-            cfa, variable, order, cancel,
+            cfa, variable, facts, order, cancel,
             racer_max_threads, racer_max_states, circ_options,
             cache, events, outcomes,
         )
@@ -502,7 +511,7 @@ def _run_parallel(
                 )
                 continue
             outcome = _baseline_outcome(
-                name, cfa, variable,
+                name, cfa, variable, facts,
                 racer_max_threads, racer_max_states, cache, events,
                 should_stop=circ_answered if cancel else None,
             )

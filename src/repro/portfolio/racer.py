@@ -1,14 +1,16 @@
 """RacerF-style two-phase static race detection with concrete witnesses.
 
-Phase 1 (cheap, whole-template) computes the three classic pruning
-facts -- may-escape sets, monitor-aware must-locksets, and the MHP
-relation of :mod:`repro.static.mhp` -- and records a *per-pair proof*
-for every conflicting access pair one of the kill rules refutes
-(unreachable site, atomic exclusion, common monitor).
+Phase 1 (cheap, whole-template) reads the phase-1 facts of
+:class:`repro.static.mhp.MhpReport` -- reachable locations (may-escape),
+monitor-aware must-locksets and the MHP relation -- and records a
+*per-pair proof* for every access pair of
+:meth:`~repro.static.mhp.MhpReport.access_pairs` one of the kill rules
+refutes (unreachable site, atomic exclusion, common monitor).
 
-Phase 2 (per surviving pair) searches bounded symmetric interleavings
-for a concrete schedule that co-locates the pair in a race state.  Every
-hit is replayed through the explicit-state interpreter before it is
+Phase 2 (per surviving pair) runs the interpreter's
+:func:`~repro.exec.interp.breadth_first_search` over bounded symmetric
+interleavings for a concrete schedule that co-locates the pair in a race
+state.  Every hit is replayed through the interpreter before it is
 believed; a witness that fails replay is discarded, never reported.
 
 The verdict discipline is the point of the exercise -- never a bare
@@ -33,11 +35,15 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..baselines.lockset import ATOMIC_LOCK, may_escape, must_locksets
 from ..cfa.cfa import CFA, Edge
-from ..exec.interp import ConcreteState, MultiProgram, replay
+from ..exec.interp import (
+    ConcreteState,
+    MultiProgram,
+    breadth_first_search,
+    replay,
+)
 from ..static.mhp import MhpReport, mhp_analysis
-from ..static.protect import Monitor, infer_monitors
+from ..static.protect import describe_locks
 
 __all__ = ["PairStatus", "RacerReport", "racer_check"]
 
@@ -80,65 +86,28 @@ class RacerReport:
         return tuple(p for p in self.pairs if p.status == "undecided")
 
 
-def _pair_proof(mhp: MhpReport, q1: int, q2: int) -> str:
+def _pair_proof(facts: MhpReport, q1: int, q2: int) -> str:
     """Name the phase-1 kill rule that refutes co-occupation of a pair."""
-    if q1 not in mhp.reachable or q2 not in mhp.reachable:
+    if q1 not in facts.reachable or q2 not in facts.reachable:
         return "unreachable access site"
-    if q1 in mhp.atomic or q2 in mhp.atomic:
+    if q1 in facts.atomic or q2 in facts.atomic:
         return "atomic exclusion (no race state has an atomic occupant)"
-    common = sorted(mhp.excluded_by(q1, q2))
+    common = sorted(facts.excluded_by(q1, q2))
     if common:
-        names = ", ".join(
-            "atomic sections" if m == ATOMIC_LOCK else f"monitor {m!r}"
-            for m in common
-        )
-        return f"mutual exclusion via {names}"
+        return f"mutual exclusion via {describe_locks(common)}"
     return "excluded by MHP"
 
 
-def _candidate_pairs(
-    cfa: CFA, mhp: MhpReport, variable: str
-) -> list[tuple[int, int]]:
-    """Every unordered access pair with a write, *before* kill rules.
+def _pair_hit(state: ConcreteState, pair: tuple[int, int]) -> bool:
+    """Do two distinct threads of ``state`` occupy ``pair``?
 
-    Phase 1 owes each of these either a proof or a hand-off to phase 2;
-    reachability is judged by the MHP report, so sites follow the same
-    definition as :meth:`MhpReport.conflicting_pairs` except that killed
-    pairs are kept (to be proved) rather than dropped.
+    Asked of race states only, and the pair came from the access-pair
+    enumeration, so the access/write side conditions and the absence of
+    an atomic occupant already hold; what remains is co-occupation.
     """
-    sites = sorted(
-        q for q in cfa.locations if variable in cfa.accesses_at(q)
-    )
-    writes = {q for q in sites if variable in cfa.writes_at(q)}
-    pairs = []
-    for i, q1 in enumerate(sites):
-        for q2 in sites[i:]:
-            if q1 in writes or q2 in writes:
-                pairs.append((q1, q2))
-    return pairs
-
-
-def _pair_hit(
-    program: MultiProgram,
-    state: ConcreteState,
-    pair: tuple[int, int],
-) -> bool:
-    """Is ``state`` a race state in which two threads occupy ``pair``?
-
-    The pair came from the conflicting-pair enumeration, so the
-    access/write side conditions hold structurally; what remains is
-    co-occupation by distinct threads with no atomic occupant.
-    """
-    if program.atomic_thread(state) is not None:
-        return False
+    pcs = [pc for pc, _ in state.threads]
     q1, q2 = pair
-    holders1 = [i for i, (pc, _) in enumerate(state.threads) if pc == q1]
-    holders2 = [i for i, (pc, _) in enumerate(state.threads) if pc == q2]
-    for i in holders1:
-        for j in holders2:
-            if i != j:
-                return True
-    return False
+    return pcs.count(q1) >= 2 if q1 == q2 else q1 in pcs and q2 in pcs
 
 
 def _search_witnesses(
@@ -151,58 +120,33 @@ def _search_witnesses(
 ) -> tuple[dict[tuple[int, int], tuple[tuple[int, Edge], ...]], int, bool]:
     """One BFS over ``n_threads`` symmetric copies, watching every target.
 
-    Returns (witnesses found, states visited, stopped-early).  Unlike
+    Returns (replayed witnesses, states visited, stopped-early).  Unlike
     :func:`repro.exec.interp.explore` the search does not stop at the
-    first bad state: it keeps going until every target pair has a
+    first race state: it keeps going until every target pair has a
     witness or the budget runs out, so one pass serves all pairs.
     """
     program = MultiProgram.symmetric(cfa, n_threads)
-    init = program.initial()
-    parent: dict[ConcreteState, tuple[ConcreteState, int, Edge] | None] = {
-        init: None
-    }
-    found: dict[tuple[int, int], tuple[tuple[int, Edge], ...]] = {}
+    hits: dict[tuple[int, int], ConcreteState] = {}
     remaining = set(targets)
 
-    def trace_to(state: ConcreteState) -> tuple[tuple[int, Edge], ...]:
-        steps: list[tuple[int, Edge]] = []
-        cur = state
-        while parent[cur] is not None:
-            prev, thread, edge = parent[cur]
-            steps.append((thread, edge))
-            cur = prev
-        steps.reverse()
-        return tuple(steps)
+    def all_hit(state: ConcreteState) -> bool:
+        if program.is_race_state(state, variable):
+            for pair in list(remaining):
+                if _pair_hit(state, pair):
+                    hits[pair] = state
+                    remaining.discard(pair)
+        return not remaining
 
-    def note(state: ConcreteState) -> None:
-        if not program.is_race_state(state, variable):
-            return
-        for pair in list(remaining):
-            if _pair_hit(program, state, pair):
-                found[pair] = trace_to(state)
-                remaining.discard(pair)
-
-    note(init)
-    frontier = [init]
-    visited = 1
-    stopped = False
-    while frontier and remaining:
-        if should_stop is not None and should_stop():
-            stopped = True
-            break
-        next_frontier: list[ConcreteState] = []
-        for state in frontier:
-            for thread, edge, nxt in program.successors(state):
-                if nxt in parent:
-                    continue
-                parent[nxt] = (state, thread, edge)
-                visited += 1
-                note(nxt)
-                if not remaining or visited >= max_states:
-                    return found, visited, stopped
-                next_frontier.append(nxt)
-        frontier = next_frontier
-    return found, visited, stopped
+    search = breadth_first_search(
+        program, all_hit, max_states, should_stop=should_stop
+    )
+    found = {}
+    for pair, state in hits.items():
+        steps = search.witness(state).steps
+        ok, _ = replay(program, steps, race_on=variable)
+        if ok:  # forged evidence is worse than none: drop it
+            found[pair] = tuple(steps)
+    return found, search.visited, search.ended == "cancelled"
 
 
 def racer_check(
@@ -210,27 +154,24 @@ def racer_check(
     variable: str,
     max_threads: int = 3,
     max_states: int = 20_000,
-    monitors: tuple[Monitor, ...] | None = None,
-    mhp: MhpReport | None = None,
+    facts: MhpReport | None = None,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> RacerReport:
     """Run both phases for one shared variable.
 
-    ``should_stop`` is polled between exploration rounds so the
-    portfolio driver can cancel a search once another analysis has
-    produced a confident verdict; a cancelled report is always
-    ``unknown`` and flagged ``cancelled``.
+    ``facts`` lets callers share one :func:`~repro.static.mhp.mhp_analysis`
+    run across analyses of the same CFA.  ``should_stop`` is polled
+    between exploration rounds so the portfolio driver can cancel a
+    search once another analysis has produced a confident verdict; a
+    cancelled report is always ``unknown`` and flagged ``cancelled``.
     """
+    cfa.require_global(variable)
     start = time.perf_counter()
-    if monitors is None:
-        monitors = infer_monitors(cfa)
-    if mhp is None:
-        mhp = mhp_analysis(cfa, monitors)
+    if facts is None:
+        facts = mhp_analysis(cfa)
 
     # Phase 1: escape + locksets + MHP, with a proof per killed pair.
-    escaped = may_escape(cfa)
-    locks = must_locksets(cfa, monitors)
-    if variable not in escaped:
+    if not any(variable in cfa.accesses_at(q) for q in facts.reachable):
         phase1_ms = (time.perf_counter() - start) * 1000.0
         return RacerReport(
             variable=variable,
@@ -239,16 +180,18 @@ def racer_check(
             pairs=(),
             phase1_ms=phase1_ms,
         )
-    candidates = _candidate_pairs(cfa, mhp, variable)
-    surviving = set(mhp.conflicting_pairs(cfa, variable))
+    candidates = facts.access_pairs(cfa, variable)
     statuses: list[PairStatus] = []
+    surviving: list[tuple[int, int]] = []
     for pair in candidates:
-        if pair not in surviving:
+        if facts.race_pair(*pair):
+            surviving.append(pair)
+        else:
             statuses.append(
                 PairStatus(
                     pair=pair,
                     status="proved",
-                    reason=_pair_proof(mhp, *pair),
+                    reason=_pair_proof(facts, *pair),
                 )
             )
     phase1_ms = (time.perf_counter() - start) * 1000.0
@@ -263,7 +206,7 @@ def racer_check(
     if not surviving:
         held = sorted(
             frozenset.intersection(
-                *(locks[q] for pair in candidates for q in pair)
+                *(facts.held[q] for pair in candidates for q in pair)
             )
         )
         what = (
@@ -279,7 +222,7 @@ def racer_check(
 
     # Phase 2: pair-targeted bounded witness search, smallest bound first.
     p2_start = time.perf_counter()
-    pending = sorted(surviving)
+    pending = surviving
     witnesses: dict[tuple[int, int], tuple[tuple[int, Edge], ...]] = {}
     thread_count: dict[tuple[int, int], int] = {}
     states_total = 0
@@ -292,15 +235,11 @@ def racer_check(
         )
         states_total += visited
         for pair, steps in found.items():
-            program = MultiProgram.symmetric(cfa, n)
-            ok, _ = replay(program, list(steps), race_on=variable)
-            if not ok:
-                continue  # forged evidence is worse than none: drop it
             witnesses[pair] = steps
             thread_count[pair] = n
         pending = [p for p in pending if p not in witnesses]
 
-    for pair in sorted(surviving):
+    for pair in surviving:
         if pair in witnesses:
             statuses.append(
                 PairStatus(

@@ -85,8 +85,7 @@ def check_race(
     exception on both paths.
     """
     cfa = _as_cfa(program, thread)
-    if variable not in cfa.globals:
-        raise ValueError(f"{variable!r} is not a global of the program")
+    cfa.require_global(variable)
     if engine:
         from ..engine import verify_one
         from ..static.prefilter import prefilter_check
@@ -94,9 +93,9 @@ def check_race(
         if prefilter:
             from ..static.classify import classify
 
-            vv = classify(cfa, [variable]).verdict(variable)
-            if vv.prunable:
-                return prefilter_check(cfa, variable)
+            report = classify(cfa, [variable])
+            if report.verdict(variable).prunable:
+                return prefilter_check(cfa, variable, report)
         return verify_one(
             cfa, variable, cache_dir=cache_dir, **circ_options
         )
@@ -119,7 +118,5 @@ def check_race_bounded(
 ) -> ExploreResult:
     """Exact explicit-state race check for a fixed number of threads."""
     cfa = _as_cfa(program, thread)
-    if variable not in cfa.globals:
-        raise ValueError(f"{variable!r} is not a global of the program")
     mp = MultiProgram.symmetric(cfa, n_threads)
     return explore(mp, race_on=variable, max_states=max_states)

@@ -32,10 +32,9 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..baselines.lockset import ATOMIC_LOCK
 from ..cfa.cfa import CFA
 from .mhp import MhpReport, mhp_analysis
-from .protect import Monitor, infer_monitors
+from .protect import Monitor, describe_locks
 
 __all__ = ["Verdict", "VariableVerdict", "StaticReport", "classify"]
 
@@ -147,11 +146,11 @@ def classify(
 ) -> StaticReport:
     """Classify ``variables`` (default: every global) of the template.
 
-    One monitor-inference and one MHP run are shared across all variables,
-    so classifying a whole program costs little more than one variable.
+    One phase-1 facts run (:func:`~repro.static.mhp.mhp_analysis`) is
+    shared across all variables, so classifying a whole program costs
+    little more than one variable.
     """
-    monitors = infer_monitors(cfa)
-    mhp = mhp_analysis(cfa, monitors)
+    mhp = mhp_analysis(cfa)
     if variables is None:
         variables = sorted(cfa.globals)
     else:
@@ -198,11 +197,7 @@ def classify(
         protectors = _common_protectors(mhp, access_sites)
         if not pairs:
             if protectors:
-                what = ", ".join(
-                    "atomic sections" if p == ATOMIC_LOCK else f"monitor {p!r}"
-                    for p in protectors
-                )
-                reason = f"every access holds {what}"
+                reason = f"every access holds {describe_locks(protectors)}"
             else:
                 reason = (
                     "every conflicting access pair is excluded "
@@ -229,6 +224,6 @@ def classify(
     return StaticReport(
         cfa_name=cfa.name,
         verdicts=verdicts,
-        monitors=monitors,
+        monitors=mhp.monitors,
         mhp=mhp,
     )

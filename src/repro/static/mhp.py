@@ -14,7 +14,7 @@ Three sound kill rules prune the full cross product:
   time (while it does, nobody else is scheduled, so a second thread cannot
   take the step that would enter one), killing atomic/atomic pairs;
 * **mutual exclusion** -- locations that both must-hold a common monitor
-  (the :data:`~repro.baselines.lockset.ATOMIC_LOCK` pseudo-lock or a
+  (the :data:`~repro.static.protect.ATOMIC_LOCK` pseudo-lock or a
   validated flag from :func:`repro.static.protect.infer_monitors`) can
   never be co-occupied.
 
@@ -22,12 +22,16 @@ Three sound kill rules prune the full cross product:
 observed when *no* thread occupies an atomic location, so pairs with an
 atomic member cannot witness one.  This is where atomic sections get their
 protective power in the pre-analysis.
+
+The :class:`MhpReport` is the one record of these phase-1 facts per CFA.
+The static classifier, the portfolio's two-phase racer and its abstract
+interpreter all read it; each enumerates a variable's access pairs through
+:meth:`MhpReport.access_pairs`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..cfa.cfa import CFA
 from .protect import Monitor, held_locks, infer_monitors, reachable_locations
@@ -37,7 +41,7 @@ __all__ = ["MhpReport", "mhp_analysis"]
 
 @dataclass(frozen=True)
 class MhpReport:
-    """The co-enabledness relation and the facts it was derived from."""
+    """The phase-1 facts of one CFA and the co-enabledness they imply."""
 
     cfa_name: str
     reachable: frozenset[int]
@@ -69,42 +73,42 @@ class MhpReport:
         """The common monitors that kill the pair (diagnostics)."""
         return self.held.get(q1, frozenset()) & self.held.get(q2, frozenset())
 
-    def conflicting_pairs(
-        self, cfa: CFA, variable: str
-    ) -> Iterator[tuple[int, int]]:
-        """Unordered location pairs that could witness a race on
-        ``variable``: both access it, at least one side writes, and the
-        pair survives every kill rule.
+    def access_pairs(self, cfa: CFA, variable: str) -> list[tuple[int, int]]:
+        """Every unordered location pair that could witness a race on
+        ``variable`` before any kill rule: both sides access it and at
+        least one side writes it.
 
-        Access and write sets are location-level (``cfa.writes_at`` /
-        ``cfa.accesses_at``), matching the race definition of
-        :mod:`repro.races.spec` exactly -- the pre-analysis prunes the
-        same events CIRC would search for.
+        Sites range over all locations, reachable or not, in ascending
+        order, so each pair's kill rule can be named.  Access and write
+        sets are location-level (``cfa.writes_at`` / ``cfa.accesses_at``),
+        matching the race definition of :mod:`repro.races.spec` exactly --
+        the pre-analysis prunes the same events CIRC would search for.
         """
         sites = sorted(
-            q
-            for q in self.reachable
-            if variable in cfa.accesses_at(q)
+            q for q in cfa.locations if variable in cfa.accesses_at(q)
         )
         writes = {q for q in sites if variable in cfa.writes_at(q)}
-        for i, q1 in enumerate(sites):
-            for q2 in sites[i:]:
-                if q1 not in writes and q2 not in writes:
-                    continue
-                if self.race_pair(q1, q2):
-                    yield (q1, q2)
+        return [
+            (q1, q2)
+            for i, q1 in enumerate(sites)
+            for q2 in sites[i:]
+            if q1 in writes or q2 in writes
+        ]
+
+    def conflicting_pairs(
+        self, cfa: CFA, variable: str
+    ) -> list[tuple[int, int]]:
+        """The :meth:`access_pairs` that survive every kill rule."""
+        return [
+            pair
+            for pair in self.access_pairs(cfa, variable)
+            if self.race_pair(*pair)
+        ]
 
 
-def mhp_analysis(
-    cfa: CFA, monitors: tuple[Monitor, ...] | None = None
-) -> MhpReport:
-    """Compute the MHP relation for one thread template.
-
-    ``monitors`` may be supplied to share one inference run across several
-    analyses (the classifier does this); by default they are inferred here.
-    """
-    if monitors is None:
-        monitors = infer_monitors(cfa)
+def mhp_analysis(cfa: CFA) -> MhpReport:
+    """Compute the phase-1 facts and MHP relation of one thread template."""
+    monitors = infer_monitors(cfa)
     return MhpReport(
         cfa_name=cfa.name,
         reachable=reachable_locations(cfa),

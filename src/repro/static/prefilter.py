@@ -20,7 +20,7 @@ from ..acfa.acfa import empty_acfa
 from ..cfa.cfa import CFA
 from ..circ.circ import circ
 from ..circ.result import CircResult, CircSafe, CircStats
-from .classify import StaticReport, Verdict, classify
+from .classify import StaticReport, VariableVerdict, Verdict, classify
 
 __all__ = ["StaticSafe", "prefilter_check"]
 
@@ -35,6 +35,20 @@ class StaticSafe(CircSafe):
 
     static_verdict: Verdict = Verdict.PROTECTED
     reason: str = ""
+
+    @classmethod
+    def from_verdict(
+        cls, vv: VariableVerdict, elapsed_seconds: float
+    ) -> "StaticSafe":
+        """The proof a prunable verdict stands for."""
+        return cls(
+            variable=vv.variable,
+            predicates=(),
+            context=empty_acfa(),
+            stats=CircStats(elapsed_seconds=elapsed_seconds),
+            static_verdict=vv.verdict,
+            reason=vv.reason,
+        )
 
     def __str__(self) -> str:
         return (
@@ -61,15 +75,5 @@ def prefilter_check(
         report = classify(cfa, [variable])
     vv = report.verdict(variable)
     if vv.prunable:
-        stats = CircStats(
-            elapsed_seconds=time.perf_counter() - start
-        )
-        return StaticSafe(
-            variable=variable,
-            predicates=(),
-            context=empty_acfa(),
-            stats=stats,
-            static_verdict=vv.verdict,
-            reason=vv.reason,
-        )
+        return StaticSafe.from_verdict(vv, time.perf_counter() - start)
     return circ(cfa, race_on=variable, **circ_options)

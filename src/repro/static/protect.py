@@ -39,9 +39,9 @@ location-based reasoning cannot see -- so ``state`` is correctly left for
 CIRC.  That asymmetry is the point: the static pass discharges disciplined
 flags, CIRC handles the data-dependent ones.
 
-``dominators`` provides the supporting graph reasoning: the witness
-acquisition reported for a protected location is the acquire site that
-dominates it.
+Atomic sections count as one more monitor, the :data:`ATOMIC_LOCK`
+pseudo-lock held at every atomic location; the Eraser baseline of
+:mod:`repro.baselines.lockset` re-exports it.
 """
 
 from __future__ import annotations
@@ -49,18 +49,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..baselines.lockset import ATOMIC_LOCK
 from ..cfa.cfa import CFA, AssignOp, AssumeOp, Edge
 from ..smt import terms as T
 
 __all__ = [
+    "ATOMIC_LOCK",
     "Monitor",
+    "describe_locks",
     "infer_monitors",
     "held_locks",
-    "dominators",
     "reachable_locations",
-    "protecting_acquisition",
 ]
+
+#: Pseudo-lock representing nesC atomic sections.
+ATOMIC_LOCK = "<atomic>"
 
 #: Dataflow fact: ``s == 0`` observed, still atomic, not written since.
 _FREE = "free"
@@ -236,11 +238,11 @@ def held_locks(
 ) -> dict[int, frozenset[str]]:
     """The kill-set map: synchronization surely held at each location.
 
-    Atomic locations hold the :data:`~repro.baselines.lockset.ATOMIC_LOCK`
-    pseudo-lock (at most one thread occupies an atomic location at a time:
-    while it does, no other thread is scheduled, so a second thread can
-    never *enter* an atomic location).  Monitor variables appear wherever
-    their must-dataflow proved ``held``.
+    Atomic locations hold the :data:`ATOMIC_LOCK` pseudo-lock (at most
+    one thread occupies an atomic location at a time: while it does, no
+    other thread is scheduled, so a second thread can never *enter* an
+    atomic location).  Monitor variables appear wherever their
+    must-dataflow proved ``held``.
     """
     if monitors is None:
         monitors = infer_monitors(cfa)
@@ -253,46 +255,9 @@ def held_locks(
     return {q: frozenset(s) for q, s in held.items()}
 
 
-def dominators(cfa: CFA) -> dict[int, frozenset[int]]:
-    """Location dominators: ``q0`` and every node on all paths to ``q``.
-
-    Standard iterative must-analysis over the reachable subgraph; used to
-    pick the witness acquisition for protected accesses and exported for
-    other static passes.
-    """
-    reach = reachable_locations(cfa)
-    dom: dict[int, frozenset[int]] = {q: reach for q in reach}
-    dom[cfa.q0] = frozenset({cfa.q0})
-    changed = True
-    while changed:
-        changed = False
-        for q in reach:
-            if q == cfa.q0:
-                continue
-            preds = [e.src for e in cfa.into(q) if e.src in reach]
-            if not preds:
-                continue
-            new = frozenset.intersection(*(dom[p] for p in preds)) | {q}
-            if new != dom[q]:
-                dom[q] = new
-                changed = True
-    return dom
-
-
-def protecting_acquisition(
-    cfa: CFA, monitor: Monitor, q: int, dom: dict[int, frozenset[int]] | None = None
-) -> Optional[int]:
-    """The acquire site of ``monitor`` that dominates ``q``, if any.
-
-    A held-at location is always preceded by an acquisition on every path;
-    when one single acquire site dominates ``q`` it is *the* protecting
-    acquisition and makes a good diagnostic ("protected by the lock taken
-    at location 3").  Returns ``None`` when protection is a join of several
-    acquisitions.
-    """
-    if dom is None:
-        dom = dominators(cfa)
-    if q not in dom:
-        return None
-    candidates = [a for a in monitor.acquire_sites if a in dom[q]]
-    return max(candidates) if candidates else None
+def describe_locks(locks: Iterable[str]) -> str:
+    """Name held locks for a verdict reason: ``atomic sections, monitor 's'``."""
+    return ", ".join(
+        "atomic sections" if m == ATOMIC_LOCK else f"monitor {m!r}"
+        for m in locks
+    )

@@ -1,19 +1,16 @@
 """Unit tests for the Eraser-style lockset baseline.
 
-Also covers the phase-1 primitives the portfolio racer builds on:
-:func:`may_escape` (which globals can be observed by another thread)
-and :func:`must_locksets` (monitor-aware synchronization surely held).
+Also covers the phase-1 facts the portfolio racer reads where the
+baseline does not: escape (the racer's "does not escape" verdict) and
+monitor-aware must-locksets (:func:`repro.static.protect.held_locks`).
 """
 
-from repro.baselines.lockset import (
-    ATOMIC_LOCK,
-    lockset_analysis,
-    may_escape,
-    must_locksets,
-)
+from repro.baselines.lockset import ATOMIC_LOCK, lockset_analysis
 from repro.circ.circ import circ
 from repro.lang import lower_source
 from repro.nesc.programs import TEST_AND_SET_SOURCE
+from repro.portfolio.racer import racer_check
+from repro.static.protect import held_locks
 
 
 def test_lock_protected_variable_passes():
@@ -108,11 +105,17 @@ def test_restrict_to_variables():
     assert not report.warns_on("y")
 
 
+def _does_not_escape(cfa, variable):
+    r = racer_check(cfa, variable)
+    return r.verdict == "safe" and r.reason.startswith("does not escape")
+
+
 def test_may_escape_requires_a_reachable_access():
     cfa = lower_source(
         "global int x, unused; thread t { while (1) { x = x + 1; } }"
     )
-    assert may_escape(cfa) == frozenset({"x"})
+    assert _does_not_escape(cfa, "unused")
+    assert not _does_not_escape(cfa, "x")
 
 
 def test_may_escape_ignores_unreachable_accesses():
@@ -127,8 +130,8 @@ def test_may_escape_ignores_unreachable_accesses():
         }
         """
     )
-    escaped = may_escape(cfa)
-    assert "x" in escaped and "y" not in escaped
+    assert not _does_not_escape(cfa, "x")
+    assert _does_not_escape(cfa, "y")
 
 
 def test_must_locksets_are_monitor_aware():
@@ -146,8 +149,8 @@ def test_must_locksets_are_monitor_aware():
         }
         """
     )
-    aware = must_locksets(cfa)
-    blind = must_locksets(cfa, monitors=())
+    aware = held_locks(cfa)
+    blind = held_locks(cfa, monitors=())
     x_sites = [q for q in cfa.locations if "x" in cfa.writes_at(q)]
     assert x_sites
     for q in x_sites:

@@ -130,6 +130,14 @@ def test_unknown_variant_rejected():
         circ(cfa, race_on="x", variant="Omega")
 
 
+def test_non_global_race_variable_rejected():
+    # Nothing accesses a name the program does not declare, so a run
+    # would "prove" it race-free.
+    cfa = lower_source("global int x; thread t { x = 1; }")
+    with pytest.raises(ValueError, match="not a global"):
+        circ(cfa, race_on="nope")
+
+
 def test_assertion_checking_mode():
     src = """
     global int g;

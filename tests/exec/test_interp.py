@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exec import MultiProgram, explore, replay
+from repro.exec.interp import breadth_first_search
 from repro.lang import lower_source
 
 FIG1 = """
@@ -198,3 +199,31 @@ def test_deadline_exhaustion_reports_incomplete():
     result = explore(p, race_on="g", deadline=0.0)
     assert not result.complete
     assert result.witness is None
+
+
+def test_non_global_race_variable_rejected():
+    cfa = lower_source(UNPROTECTED)
+    with pytest.raises(ValueError, match="not a global"):
+        explore(MultiProgram.symmetric(cfa, 2), race_on="nope")
+
+
+def test_search_reports_how_it_ended():
+    cfa = lower_source(UNPROTECTED)
+    p = MultiProgram.symmetric(cfa, 2)
+    assert breadth_first_search(p, lambda s: False, 10).ended == "budget"
+    cancelled = breadth_first_search(
+        p, lambda s: False, 10, should_stop=lambda: True
+    )
+    assert (cancelled.ended, cancelled.visited) == ("cancelled", 1)
+    hit = breadth_first_search(
+        p, lambda s: p.is_race_state(s, "x"), 10_000
+    )
+    assert hit.ended == "stopped"
+    witness = hit.witness(hit.goal)
+    assert replay(p, witness.steps, race_on="x") == (True, witness.states)
+    done = breadth_first_search(
+        MultiProgram.symmetric(lower_source(FIG1_BOUNDED), 2),
+        lambda s: False,
+        100_000,
+    )
+    assert done.ended == "exhausted" and done.visited == len(done.parent)

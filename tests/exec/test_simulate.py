@@ -1,5 +1,7 @@
 """Tests for the random-schedule simulator."""
 
+import pytest
+
 from repro.exec import MultiProgram, replay, simulate
 from repro.lang import lower_source
 
@@ -69,3 +71,9 @@ def test_deterministic_under_seed():
     a = simulate(mp, race_on="x", runs=3, seed=7)
     b = simulate(mp, race_on="x", runs=3, seed=7)
     assert a.found == b.found and a.steps_total == b.steps_total
+
+
+def test_non_global_race_variable_rejected():
+    cfa = lower_source("global int x; thread t { while (1) { x = x + 1; } }")
+    with pytest.raises(ValueError, match="not a global"):
+        simulate(MultiProgram.symmetric(cfa, 2), race_on="nope")

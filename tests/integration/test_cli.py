@@ -381,6 +381,25 @@ def test_exit_code_parity_across_frontends(
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["baselines"],
+        ["portfolio", "--no-cache"],
+        ["check", "--no-prefilter"],
+        ["explore"],
+        ["simulate"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_non_global_race_variable_is_a_usage_error(racy_file, command, capsys):
+    """A race variable that is not a global is rejected, never proved
+    safe (or explored until the state budget runs out)."""
+    argv = [command[0], racy_file, "--var", "nope", *command[1:]]
+    assert main(argv) == 2
+    assert "'nope' is not a global" in capsys.readouterr().err
+
+
 def test_batch_events_jsonl(fig1_file, tmp_path, capsys):
     import json
 

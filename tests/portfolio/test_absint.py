@@ -1,5 +1,7 @@
 """Tests for the digest-keyed abstract-interpretation pass."""
 
+import pytest
+
 from repro.engine.cache import ArtifactCache
 from repro.engine.events import EventLog
 from repro.lang.lower import lower_source
@@ -94,3 +96,8 @@ def test_corrupt_blob_recomputes(tmp_path):
     r = absint_check(lower_source(ATOMIC), "x", cache=cache)
     assert r.verdict == "safe"
     assert not r.cached
+
+
+def test_non_global_variable_rejected():
+    with pytest.raises(ValueError, match="not a global"):
+        absint_check(lower_source(RACY), "nope")

@@ -1,5 +1,7 @@
 """Tests for the RacerF-style two-phase detector."""
 
+import pytest
+
 from repro.exec.interp import MultiProgram, replay
 from repro.lang.lower import lower_source
 from repro.portfolio.racer import racer_check
@@ -104,3 +106,9 @@ def test_safe_claims_are_unbounded_strength():
         lower_source(LOCKED), "x", max_threads=2, max_states=10
     )
     assert r.verdict == "safe"
+
+
+def test_non_global_variable_rejected():
+    # Not "does not escape": an undeclared name is a usage error.
+    with pytest.raises(ValueError, match="not a global"):
+        racer_check(lower_source(RACY), "nope")

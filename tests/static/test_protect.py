@@ -1,14 +1,7 @@
-"""Unit tests for monitor inference, held-lock sets, and dominators."""
+"""Unit tests for monitor inference and held-lock sets."""
 
-from repro.baselines.lockset import ATOMIC_LOCK
 from repro.lang import lower_source
-from repro.static import (
-    dominators,
-    held_locks,
-    infer_monitors,
-    protecting_acquisition,
-    reachable_locations,
-)
+from repro.static import ATOMIC_LOCK, held_locks, infer_monitors
 
 LOCKED = """
 global int m, x;
@@ -133,39 +126,3 @@ def test_held_locks_include_atomic_pseudo_lock():
     held = held_locks(cfa)
     x_sites = [q for q in cfa.locations if "x" in cfa.writes_at(q)]
     assert x_sites and all(ATOMIC_LOCK in held[q] for q in x_sites)
-
-
-def test_dominators_linear_chain():
-    cfa = lower_source("global int x; thread t { x = 1; x = 2; }")
-    dom = dominators(cfa)
-    assert dom[cfa.q0] == {cfa.q0}
-    for q in reachable_locations(cfa):
-        assert cfa.q0 in dom[q]
-
-
-def test_dominators_diamond_join():
-    cfa = lower_source(
-        """
-        global int x, y;
-        thread t {
-          if (*) { x = 1; } else { x = 2; }
-          y = 1;
-        }
-        """
-    )
-    dom = dominators(cfa)
-    branch_srcs = {
-        q for q in cfa.locations if "x" in cfa.writes_at(q)
-    }
-    join = [q for q in cfa.locations if "y" in cfa.writes_at(q)]
-    assert join
-    # Neither branch arm dominates the join.
-    assert not (branch_srcs & dom[join[0]])
-
-
-def test_protecting_acquisition_names_the_acquire_site():
-    cfa = lower_source(LOCKED)
-    m = _monitor(cfa, "m")
-    x_site = next(q for q in cfa.locations if "x" in cfa.writes_at(q))
-    acq = protecting_acquisition(cfa, m, x_site)
-    assert acq in m.acquire_sites
