@@ -29,7 +29,6 @@ import pytest
 
 from repro.baselines import flow_analysis, lockset_analysis
 from repro.circ import circ
-from repro.circ.circ import CircBudgetExceeded, CircInconclusive
 from repro.circ.result import CircSafe, CircUnsafe
 from repro.lang import lower_source
 from repro.nesc import BENCHMARKS
@@ -149,10 +148,7 @@ _PORTFOLIO_BUDGET = dict(max_outer=40, max_inner=40)
 
 
 def _circ_only(cfa, var):
-    try:
-        return circ(cfa, race_on=var, **_PORTFOLIO_BUDGET)
-    except (CircBudgetExceeded, CircInconclusive) as exc:
-        return exc.result
+    return circ(cfa, race_on=var, **_PORTFOLIO_BUDGET)
 
 
 def _verdict_of(result):

@@ -30,7 +30,7 @@ Under pytest the same measurements run on the quick workload::
 import json
 import time
 
-from repro.circ.circ import CircBudgetExceeded, circ
+from repro.circ.circ import circ
 from repro.fuzz.gen import GenConfig, generate
 from repro.lang import lower_source
 from repro.lang.lower import lower_thread
@@ -65,10 +65,7 @@ def run_pass(items, stores) -> dict[str, str]:
     """One pass over the workload; returns verdict kind per item."""
     verdicts = {}
     for (name, cfa, var), store in zip(items, stores):
-        try:
-            result = circ(cfa, race_on=var, store=store, **_BUDGET)
-        except CircBudgetExceeded as exc:
-            result = exc.result
+        result = circ(cfa, race_on=var, store=store, **_BUDGET)
         verdicts[name] = type(result).__name__
     return verdicts
 

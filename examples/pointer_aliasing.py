@@ -12,6 +12,7 @@ Run:  python examples/pointer_aliasing.py
 """
 
 from repro import check_race
+from repro.circ import CircUnsafe
 from repro.lang.parser import parse_program
 from repro.lang.pointers import analyze_pointers
 
@@ -56,13 +57,19 @@ def show_alias_analysis(source: str) -> None:
     )
 
 
+def _label(result) -> str:
+    if result.unknown:
+        return f"UNKNOWN ({result.reason})"
+    return "NO" if result.safe else "YES"
+
+
 def main() -> None:
     print("buggy worker (no lock around the deref read-modify-write):")
     show_alias_analysis(BUGGY)
     for var in ("buffer", "spare"):
         result = check_race(BUGGY, var)
-        print(f"  race on {var!r}: {'NO' if result.safe else 'YES'}")
-        if not result.safe:
+        print(f"  race on {var!r}: {_label(result)}")
+        if isinstance(result, CircUnsafe):
             for tid, edge in result.steps[-4:]:
                 print(f"      ... T{tid}: {edge.op}")
 
@@ -70,7 +77,7 @@ def main() -> None:
     print("fixed worker (lock held across the aliased access):")
     for var in ("buffer", "spare"):
         result = check_race(FIXED, var)
-        print(f"  race on {var!r}: {'NO' if result.safe else 'YES'}")
+        print(f"  race on {var!r}: {_label(result)}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """The CIRC race-checking algorithm: reachability, refinement, main loop."""
 
-from .circ import CircBudgetExceeded, CircError, CircInconclusive, circ
+from .circ import CircError, circ
 from .multi import MultiSafe, MultiUnsafe, circ_multi
 from .omega import omega_check
 from ..reach import (

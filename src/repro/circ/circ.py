@@ -48,8 +48,6 @@ from .result import CircSafe, CircStats, CircUnknown, CircUnsafe, IterationRecor
 
 __all__ = [
     "CircError",
-    "CircBudgetExceeded",
-    "CircInconclusive",
     "circ",
     "omega_check",
 ]
@@ -58,35 +56,9 @@ Variant = Literal["circ", "omega"]
 
 
 class CircError(RuntimeError):
-    """CIRC did not converge within its iteration budgets."""
-
-
-class CircInconclusive(CircError):
-    """Refinement stalled: an abstract race could neither be realized as
-    a concrete witness nor refuted with new predicates, and the bounded
-    concrete fallback was inconclusive.  Wraps the
-    :class:`~repro.circ.result.CircUnknown` verdict in ``result`` so
-    callers that prefer a value to an exception can unwrap it, exactly
-    like :class:`CircBudgetExceeded`.
-    """
-
-    def __init__(self, result: CircUnknown):
-        super().__init__(result.reason)
-        self.result = result
-
-
-class CircBudgetExceeded(CircError):
-    """An explicit caller-supplied budget (``max_iterations`` or
-    ``timeout_s``) ran out before CIRC reached a verdict.
-
-    Wraps the :class:`~repro.circ.result.CircUnknown` verdict in
-    ``result`` so callers that prefer a value to an exception (the batch
-    engine, ``check_race``) can unwrap it.
-    """
-
-    def __init__(self, result: CircUnknown):
-        super().__init__(result.reason)
-        self.result = result
+    """Internal failure: CIRC broke one of its own invariants (a
+    counterexample that fails concrete replay).  Giving up is not a
+    failure -- :func:`circ` returns :class:`CircUnknown` for that."""
 
 
 def circ(
@@ -106,25 +78,27 @@ def circ(
     keep_history: bool = False,
     validate_witness: bool = True,
     store: ArgStore | None = None,
-) -> CircSafe | CircUnsafe:
+) -> CircSafe | CircUnsafe | CircUnknown:
     """Check the symmetric multithreaded program ``cfa``^infinity for races
     on ``race_on`` (or assertion failures when ``check_errors``).
 
-    Returns :class:`CircSafe` or :class:`CircUnsafe`; raises
-    :class:`CircError` when the iteration budget is exhausted (the problem
-    is undecidable in general -- Theorem 1 gives soundness on termination).
+    Returns :class:`CircSafe`, :class:`CircUnsafe`, or -- the problem is
+    undecidable in general, and Theorem 1 gives soundness only on
+    termination -- :class:`CircUnknown` when CIRC gives up.  It gives up
+    when ``max_outer`` or ``max_inner`` runs out, when one reachability
+    pass exceeds ``max_states``, when ``max_iterations`` or ``timeout_s``
+    runs out, or when a refinement stalls and the bounded concrete
+    fallback finds no witness.  The :class:`CircUnknown` carries the
+    reason, the predicates discovered so far, and the run's statistics.
+    :class:`CircError` is raised only for an internal failure.
 
     ``variant="omega"`` (the default) runs omega-CIRC: exactly ``k``
     context threads, discharged by the infinity-check of Section 5.
     ``variant="circ"`` runs plain CIRC against an OMEGA-counted context.
 
     ``max_iterations`` caps the *total* number of inner iterations across
-    all restarts and ``timeout_s`` caps wall-clock time; exceeding either
-    raises :class:`CircBudgetExceeded`, whose ``result`` attribute is the
-    :class:`~repro.circ.result.CircUnknown` verdict carrying partial
-    statistics and the predicates discovered so far.  Both default to
-    ``None`` (no budget), preserving the historical behavior of looping
-    until ``max_outer``/``max_inner`` give up with a plain ``CircError``.
+    all restarts and ``timeout_s`` caps wall-clock time.  Both default to
+    ``None`` (no budget beyond ``max_outer``/``max_inner``/``max_states``).
 
     Every run keeps one :class:`~repro.reach.store.ArgStore` across inner
     iterations and refinement restarts, reusing abstract posts, omega
@@ -160,25 +134,22 @@ def circ(
             rec.elapsed_s = time.perf_counter() - start_time
             stats.history.append(rec)
 
-    def check_budget() -> None:
+    def budget_reason() -> str | None:
+        """Why an explicit budget has run out, or None while it has not."""
         elapsed = time.perf_counter() - start_time
         if timeout_s is not None and elapsed > timeout_s:
-            reason = f"wall-clock budget of {timeout_s:g}s exceeded"
-        elif (
-            max_iterations is not None
-            and stats.inner_iterations >= max_iterations
-        ):
-            reason = f"iteration budget of {max_iterations} exceeded"
-        else:
-            return
+            return f"wall-clock budget of {timeout_s:g}s exceeded"
+        if max_iterations is not None and stats.inner_iterations >= max_iterations:
+            return f"iteration budget of {max_iterations} exceeded"
+        return None
+
+    def give_up(reason: str) -> CircUnknown:
         finalize_stats()
-        raise CircBudgetExceeded(
-            CircUnknown(
-                variable=race_on,
-                reason=reason,
-                predicates=tuple(preds),
-                stats=stats,
-            )
+        return CircUnknown(
+            variable=race_on,
+            reason=reason,
+            predicates=tuple(preds),
+            stats=stats,
         )
 
     for outer in range(1, max_outer + 1):
@@ -190,7 +161,9 @@ def circ(
         refined = False
 
         for inner in range(1, max_inner + 1):
-            check_budget()
+            reason = budget_reason()
+            if reason is not None:
+                return give_up(reason)
             stats.inner_iterations += 1
             program = AbstractProgram(cfa, abstractor, context, k)
             try:
@@ -233,28 +206,19 @@ def circ(
                     # heuristic cannot express.  Fall back to a bounded
                     # explicit-state search, which is sound (it reports
                     # only genuine races); if that is inconclusive too,
-                    # surface a clean UNKNOWN rather than leaking the
-                    # internal RefinementFailure to callers.  The fallback
-                    # respects the remaining wall-clock budget: a timeout
-                    # mid-search surfaces as CircBudgetExceeded below.
-                    check_budget()
+                    # give up rather than leaking the internal
+                    # RefinementFailure to callers.  The fallback respects
+                    # the remaining wall-clock budget, and a search it cut
+                    # short gives up with the budget's reason.
+                    reason = budget_reason()
+                    if reason is not None:
+                        return give_up(reason)
                     try:
                         outcome = _concrete_fallback(
                             cfa, race_on, check_errors, deadline
                         )
                     except RefinementFailure as stalled:
-                        # A deadline-truncated search is a budget story,
-                        # not a refinement stall.
-                        check_budget()
-                        finalize_stats()
-                        raise CircInconclusive(
-                            CircUnknown(
-                                variable=race_on,
-                                reason=str(stalled),
-                                predicates=tuple(preds),
-                                stats=stats,
-                            )
-                        ) from stalled
+                        return give_up(budget_reason() or str(stalled))
                 if isinstance(outcome, RealRace):
                     if validate_witness:
                         program_c = MultiProgram.symmetric(
@@ -292,10 +256,9 @@ def circ(
                 refined = True
                 break
             except ReachBudgetExceeded as exc:
-                # Typed degrade: the wall-clock deadline or abstract
-                # state budget ran out inside one reachability pass.
-                check_budget()
-                raise CircError(str(exc)) from exc
+                # The wall-clock deadline or the abstract state budget
+                # ran out inside one reachability pass.
+                return give_up(budget_reason() or str(exc))
 
             stats.abstract_states += reach.states_explored
             record(
@@ -350,12 +313,12 @@ def circ(
             context, mu = arg_store.collapse_quotient(reach.arg, cfa.locals)
             prev_reach = reach
         else:
-            raise CircError(
+            return give_up(
                 f"inner loop did not converge in {max_inner} iterations"
             )
         if not refined:
             raise CircError("inner loop exited without refinement")
-    raise CircError(f"no verdict after {max_outer} outer iterations")
+    return give_up(f"no verdict after {max_outer} outer iterations")
 
 
 def _concrete_fallback(

@@ -45,7 +45,7 @@ from .refine import (
     _useful_predicates,
     build_trace_formula,
 )
-from .result import CircStats
+from .result import CircStats, CircUnknown
 
 __all__ = ["MultiSafe", "MultiUnsafe", "circ_multi"]
 
@@ -147,9 +147,13 @@ def circ_multi(
     max_inner: int = 40,
     max_states: int = 500_000,
     validate_witness: bool = True,
-) -> MultiSafe | MultiUnsafe:
+) -> MultiSafe | MultiUnsafe | CircUnknown:
     """Check races on ``race_on`` over arbitrarily many copies of *each*
     template running concurrently.
+
+    Like :func:`~repro.circ.circ.circ`, running out of ``max_outer`` or
+    ``max_inner`` returns a :class:`~repro.circ.result.CircUnknown`
+    (its predicates are every template's, in template order).
 
     One :class:`~repro.reach.store.ArgStore` per template reuses abstract
     posts and collapse quotients across inner iterations and refinement
@@ -177,6 +181,17 @@ def circ_multi(
             for key, value in s.reuse_stats().items():
                 merged[key] = merged.get(key, 0) + value
         stats.reuse = merged
+
+    def give_up(reason: str) -> CircUnknown:
+        stats.elapsed_seconds = time.perf_counter() - start_time
+        stats.final_k = k
+        finalize_reuse()
+        return CircUnknown(
+            variable=race_on,
+            reason=reason,
+            predicates=tuple(p for ps in preds for p in ps),
+            stats=stats,
+        )
 
     for outer in range(1, max_outer + 1):
         stats.outer_iterations = outer
@@ -290,12 +305,12 @@ def circ_multi(
                 prev[i] = r
             contexts = new_contexts
         else:
-            raise CircError(
+            return give_up(
                 f"multi-template inner loop did not converge in {max_inner}"
             )
         if not refined:
             raise CircError("inner loop exited without refinement")
-    raise CircError(f"no verdict after {max_outer} outer iterations")
+    return give_up(f"no verdict after {max_outer} outer iterations")
 
 
 def _refine_multi(

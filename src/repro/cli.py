@@ -72,12 +72,13 @@ Subcommands
     ``batch`` subcommand would (``--json`` for the shared payload).
 
 Exit codes: 0 verified, 1 race found (or hard fuzz disagreement),
-2 usage/parse error or a portfolio verdict conflict (two confident
+2 usage/parse error, a portfolio verdict conflict (two confident
 analyses disagreed -- an internal soundness error, never silently
-resolved), 3 budget exhausted (explore) or daemon-draining RETRYABLE,
-4 verification undecided (UNKNOWN verdict, including solver-quota
-exhaustion).  ``check``, ``batch``, ``portfolio``, ``baselines``, and
-``submit`` all share this mapping via :func:`_verdict_exit`.
+resolved) or an internal CIRC failure, 3 budget exhausted (explore) or
+daemon-draining RETRYABLE, 4 verification undecided (UNKNOWN verdict:
+CIRC gave up, or a solver quota ran out).  ``check`` (with or without
+``--report``), ``batch``, ``portfolio``, ``baselines``, and ``submit``
+all share this mapping via :func:`_verdict_exit`.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ from pathlib import Path
 
 from .baselines.lockset import lockset_analysis
 from .baselines.threadmodular import thread_modular
-from .circ import CircBudgetExceeded, CircError, CircInconclusive, circ
+from .circ import CircError, circ
 from .exec.interp import MultiProgram, explore
 from .lang.lower import lower_source
 from .races.spec import racy_variables
@@ -187,6 +188,7 @@ def _cmd_check(args) -> int:
         from .smt.profile import PROFILER
 
         PROFILER.reset()
+    options = {"variant": args.variant, "k": args.k, **_budget_options(args)}
     if args.report:
         from .races.report import audit, render_markdown
 
@@ -194,20 +196,19 @@ def _cmd_check(args) -> int:
             cfa,
             name=Path(args.file).name,
             variables=None if args.all else variables,
-            variant=args.variant,
-            k=args.k,
+            **options,
         )
         Path(args.report).write_text(render_markdown(report))
         print(f"wrote {args.report}")
         if args.stats:
             _print_smt_stats()
-        return 1 if report.races else 0
+        return _verdict_exit(len(report.races), len(report.undecided))
     static_report = None
     if not args.no_prefilter:
         from .static import classify
 
         static_report = classify(cfa, variables)
-    races = unknown = budget = 0
+    races = unknown = 0
     reuse_totals: dict[str, int] = {}
     for var in variables:
         start = time.perf_counter()
@@ -220,46 +221,29 @@ def _cmd_check(args) -> int:
                 )
                 continue
         portfolio_tag = ""
-        try:
-            if getattr(args, "portfolio", False):
-                from .portfolio import run_portfolio
+        if args.portfolio:
+            from .portfolio import run_portfolio
 
-                source = Path(args.file).read_text()
-                preport = run_portfolio(
-                    cfa,
-                    var,
-                    source=source,
-                    thread=args.thread,
-                    parallel=args.parallel,
-                    variant=args.variant,
-                    k=args.k,
-                    max_iterations=args.max_iterations,
-                    timeout_s=args.timeout,
+            source = Path(args.file).read_text()
+            preport = run_portfolio(
+                cfa,
+                var,
+                source=source,
+                thread=args.thread,
+                parallel=args.parallel,
+                **options,
+            )
+            result = preport.to_circ_result()
+            portfolio_tag = (
+                f"    portfolio: won by {preport.winner or 'none'}"
+                + (
+                    f", cancelled {', '.join(preport.cancelled)}"
+                    if preport.cancelled
+                    else ""
                 )
-                result = preport.to_circ_result()
-                portfolio_tag = (
-                    f"    portfolio: won by {preport.winner or 'none'}"
-                    + (
-                        f", cancelled {', '.join(preport.cancelled)}"
-                        if preport.cancelled
-                        else ""
-                    )
-                )
-            else:
-                result = circ(
-                    cfa,
-                    race_on=var,
-                    variant=args.variant,
-                    k=args.k,
-                    max_iterations=args.max_iterations,
-                    timeout_s=args.timeout,
-                )
-        except (CircBudgetExceeded, CircInconclusive) as exc:
-            result = exc.result
-        except CircError as exc:
-            print(f"{var}: UNDECIDED ({exc})")
-            budget += 1
-            continue
+            )
+        else:
+            result = circ(cfa, race_on=var, **options)
         # The verifier's own stats record is the single timing source
         # (the engine's JSONL events read the same field); the local
         # clock only covers verdicts that never reached finalization.
@@ -296,8 +280,6 @@ def _cmd_check(args) -> int:
         _print_smt_stats()
         if reuse_totals:
             _print_reuse_stats(reuse_totals)
-    if budget and not races and not unknown:
-        return EXIT_BUDGET
     return _verdict_exit(races, unknown)
 
 
@@ -425,11 +407,7 @@ def _cmd_portfolio(args) -> int:
         else None
     )
     events = EventLog(args.events) if args.events else EventLog()
-    options = {}
-    if args.max_iterations is not None:
-        options["max_iterations"] = args.max_iterations
-    if args.timeout is not None:
-        options["timeout_s"] = args.timeout
+    options = _budget_options(args)
 
     races = unknown = 0
     all_rows = []
@@ -611,7 +589,7 @@ def _cmd_bench(args) -> int:
         start = time.perf_counter()
         result = circ(b.app.cfa(), race_on=var)
         elapsed = time.perf_counter() - start
-        verdict = "SAFE" if result.safe else "RACE"
+        verdict = "UNKNOWN" if result.unknown else "SAFE" if result.safe else "RACE"
         expected = "SAFE" if b.expect_safe else "RACE"
         mark = "ok" if verdict == expected else "UNEXPECTED"
         print(
@@ -623,49 +601,62 @@ def _cmd_bench(args) -> int:
     return status
 
 
+def _batch_items(args) -> list:
+    """The queries of ``batch`` and ``submit``: each FILE, then the
+    bundled nesC models ``--nesc`` names.  Prints an error and returns
+    an empty list when there are none."""
+    from .engine import BatchItem
+
+    items = [
+        BatchItem(
+            model=Path(path).name,
+            source=Path(path).read_text(),
+            thread=args.thread,
+            variables=(args.var,) if args.var else None,
+        )
+        for path in args.files
+    ]
+    if args.nesc is not None:
+        from .nesc.programs import BENCHMARKS
+
+        items.extend(
+            BatchItem(
+                model=b.key,
+                source=b.app.thread_source(),
+                variables=(b.variable.replace("_buggy", ""),),
+            )
+            for b in BENCHMARKS
+            if not args.nesc or b.app_name == args.nesc
+        )
+    if not items:
+        print("error: give FILE arguments and/or --nesc [APP]", file=sys.stderr)
+    return items
+
+
+def _print_summary(summary: dict) -> None:
+    """The closing line of ``batch`` and ``submit``."""
+    hit_rate = summary.get("hit_rate")
+    print(
+        f"\n{summary['queries']} queries: "
+        f"{summary['static']} static, {summary['deduped']} deduped, "
+        f"{summary['races']} race(s), {summary['unknown']} unknown; "
+        + (f"cache hit rate {hit_rate:.0%}; " if hit_rate is not None else "")
+        + f"{summary['wall_ms'] / 1000.0:.1f}s"
+    )
+
+
 def _cmd_batch(args) -> int:
-    from .engine import BatchItem, run_batch
+    from .engine import run_batch
     from .races.report import (
         render_rows_table,
         rows_from_batch,
         rows_to_payload,
     )
 
-    items = []
-    for path in args.files:
-        items.append(
-            BatchItem(
-                model=Path(path).name,
-                source=Path(path).read_text(),
-                thread=args.thread,
-                variables=(args.var,) if args.var else None,
-            )
-        )
-    if args.nesc is not None:
-        from .nesc.programs import BENCHMARKS
-
-        for b in BENCHMARKS:
-            if args.nesc and b.app_name != args.nesc:
-                continue
-            items.append(
-                BatchItem(
-                    model=b.key,
-                    source=b.app.thread_source(),
-                    variables=(b.variable.replace("_buggy", ""),),
-                )
-            )
+    items = _batch_items(args)
     if not items:
-        print(
-            "error: give FILE arguments and/or --nesc [APP]",
-            file=sys.stderr,
-        )
-        return 2
-
-    options = {"variant": args.variant, "k": args.k}
-    if args.max_iterations is not None:
-        options["max_iterations"] = args.max_iterations
-    if args.timeout is not None:
-        options["timeout_s"] = args.timeout
+        return EXIT_USAGE
+    options = {"variant": args.variant, "k": args.k, **_budget_options(args)}
     if args.portfolio:
         options["portfolio"] = True
     report = run_batch(
@@ -696,13 +687,7 @@ def _cmd_batch(args) -> int:
         print(json.dumps(rows_to_payload(rows, summary=summary), indent=2))
     else:
         print(render_rows_table(rows))
-        print(
-            f"\n{summary['queries']} queries: "
-            f"{summary['static']} static, {summary['deduped']} deduped, "
-            f"{summary['races']} race(s), {summary['unknown']} unknown; "
-            f"cache hit rate {summary['hit_rate']:.0%}; "
-            f"{report.wall_ms / 1000.0:.1f}s"
-        )
+        _print_summary(summary)
     return _verdict_exit(len(report.races), len(report.unknown))
 
 
@@ -763,45 +748,15 @@ def _cmd_serve(args) -> int:
 
 def _cmd_submit(args) -> int:
     import json
+    from dataclasses import asdict
 
     from .races.report import ReportRow, render_rows_table
     from .serve.client import ServeError, submit_sync
 
-    items = []
-    for path in args.files:
-        items.append(
-            {
-                "model": Path(path).name,
-                "source": Path(path).read_text(),
-                "thread": args.thread,
-                "variables": [args.var] if args.var else None,
-            }
-        )
-    if args.nesc is not None:
-        from .nesc.programs import BENCHMARKS
-
-        for b in BENCHMARKS:
-            if args.nesc and b.app_name != args.nesc:
-                continue
-            items.append(
-                {
-                    "model": b.key,
-                    "source": b.app.thread_source(),
-                    "variables": [b.variable.replace("_buggy", "")],
-                }
-            )
+    items = [asdict(item) for item in _batch_items(args)]
     if not items:
-        print(
-            "error: give FILE arguments and/or --nesc [APP]",
-            file=sys.stderr,
-        )
         return EXIT_USAGE
-
-    options = {"variant": args.variant, "k": args.k}
-    if args.max_iterations is not None:
-        options["max_iterations"] = args.max_iterations
-    if args.timeout is not None:
-        options["timeout_s"] = args.timeout
+    options = {"variant": args.variant, "k": args.k, **_budget_options(args)}
     mode = "portfolio" if args.portfolio else "batch"
 
     def on_event(frame):
@@ -849,14 +804,7 @@ def _cmd_submit(args) -> int:
             for r in result.get("rows", [])
         ]
         print(render_rows_table(rows))
-        print(
-            f"\n{summary.get('queries', len(rows))} queries: "
-            f"{summary.get('static', 0)} static, "
-            f"{summary.get('deduped', 0)} deduped, "
-            f"{summary.get('races', 0)} race(s), "
-            f"{summary.get('unknown', 0)} unknown; "
-            f"{summary.get('wall_ms', 0.0) / 1000.0:.1f}s"
-        )
+        _print_summary(summary)
     return int(result.get("exit_code", EXIT_OK))
 
 
@@ -870,16 +818,11 @@ def _cmd_fuzz(args) -> int:
     from .fuzz.gen import GenConfig
     from .races.report import render_rows_table, rows_to_payload
 
-    circ_options = []
-    if args.max_iterations is not None:
-        circ_options.append(("max_iterations", args.max_iterations))
-    if args.timeout is not None:
-        circ_options.append(("timeout_s", args.timeout))
     config = FuzzConfig(
         gen=GenConfig(),
         max_threads=args.threads,
         max_states=args.max_states,
-        circ_options=FuzzConfig().circ_options + tuple(circ_options),
+        circ_options=FuzzConfig().circ_options + tuple(_budget_options(args).items()),
         shrink_failures=not args.no_shrink,
     )
     shrink_classes = (
@@ -943,6 +886,50 @@ def _add_variant_argument(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_budget_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--max-iterations",
+        type=int,
+        help="CIRC refinement iteration budget per query (UNKNOWN when hit)",
+    )
+    p.add_argument(
+        "--timeout",
+        type=float,
+        metavar="SECONDS",
+        help="CIRC wall-clock budget per query (UNKNOWN when hit)",
+    )
+
+
+def _budget_options(args) -> dict:
+    """The :func:`~repro.circ.circ` options the budget flags set."""
+    budgets = {"max_iterations": args.max_iterations, "timeout_s": args.timeout}
+    return {name: value for name, value in budgets.items() if value is not None}
+
+
+def _add_query_arguments(p: argparse.ArgumentParser) -> None:
+    """The query flags ``batch`` and ``submit`` share."""
+    p.add_argument("files", nargs="*", metavar="FILE", help="mini-C programs")
+    p.add_argument(
+        "--nesc",
+        nargs="?",
+        const="",
+        metavar="APP",
+        help="include the bundled nesC models (optionally one app)",
+    )
+    p.add_argument("--var", help="check one global (default: every written global)")
+    p.add_argument("--thread", help="thread name for multi-thread files")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    _add_variant_argument(p)
+    p.add_argument("-k", type=int, default=1, help="initial counter bound")
+    _add_budget_arguments(p)
+    p.add_argument(
+        "--portfolio",
+        action="store_true",
+        help="resolve each job through the analysis portfolio "
+        "(racer/absint/CIRC with cross-cancellation)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-race",
@@ -970,17 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run CIRC on every variable, skipping the static pre-analysis",
     )
-    p.add_argument(
-        "--max-iterations",
-        type=int,
-        help="abstraction-refinement iteration budget (UNKNOWN when hit)",
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        help="per-variable wall-clock budget (UNKNOWN when hit)",
-    )
+    _add_budget_arguments(p)
     p.add_argument(
         "--portfolio",
         action="store_true",
@@ -1061,17 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the per-analysis report table",
     )
-    p.add_argument(
-        "--max-iterations",
-        type=int,
-        help="CIRC refinement iteration budget (UNKNOWN when hit)",
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        help="CIRC wall-clock budget (UNKNOWN when hit)",
-    )
+    _add_budget_arguments(p)
     p.set_defaults(func=_cmd_portfolio)
 
     p = sub.add_parser(
@@ -1107,16 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
         "batch",
         help="verify many queries through the caching/parallel engine",
     )
-    p.add_argument("files", nargs="*", metavar="FILE", help="mini-C programs")
-    p.add_argument(
-        "--nesc",
-        nargs="?",
-        const="",
-        metavar="APP",
-        help="include the bundled nesC models (optionally one app)",
-    )
-    p.add_argument("--var", help="check one global (default: every written global)")
-    p.add_argument("--thread", help="thread name for multi-thread files")
+    _add_query_arguments(p)
     p.add_argument(
         "--workers",
         type=int,
@@ -1135,30 +1093,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--events", metavar="FILE", help="append JSONL telemetry to FILE"
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    _add_variant_argument(p)
-    p.add_argument("-k", type=int, default=1, help="initial counter bound")
     p.add_argument(
         "--no-prefilter",
         action="store_true",
         help="plan a CIRC job for every variable",
-    )
-    p.add_argument(
-        "--max-iterations",
-        type=int,
-        help="per-job refinement iteration budget (UNKNOWN when hit)",
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        help="per-job wall-clock budget (UNKNOWN when hit)",
-    )
-    p.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="resolve each job through the analysis portfolio "
-        "(racer/absint/CIRC with cross-cancellation)",
     )
     p.add_argument(
         "--shards",
@@ -1259,16 +1197,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="send programs to a running serve daemon",
     )
-    p.add_argument("files", nargs="*", metavar="FILE", help="mini-C programs")
-    p.add_argument(
-        "--nesc",
-        nargs="?",
-        const="",
-        metavar="APP",
-        help="include the bundled nesC models (optionally one app)",
-    )
-    p.add_argument("--var", help="check one global (default: every written global)")
-    p.add_argument("--thread", help="thread name for multi-thread files")
+    _add_query_arguments(p)
     p.add_argument(
         "--socket", metavar="PATH", help="connect to a Unix socket at PATH"
     )
@@ -1281,29 +1210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--client", metavar="NAME", help="client name for daemon telemetry"
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
         "--events",
         action="store_true",
         help="stream per-job telemetry frames to stderr",
-    )
-    _add_variant_argument(p)
-    p.add_argument("-k", type=int, default=1, help="initial counter bound")
-    p.add_argument(
-        "--max-iterations",
-        type=int,
-        help="per-job refinement iteration budget (UNKNOWN when hit)",
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        help="per-job wall-clock budget (UNKNOWN when hit)",
-    )
-    p.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="resolve each job through the analysis portfolio",
     )
     p.set_defaults(func=_cmd_submit)
 
@@ -1346,17 +1256,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also minimize logged (incompleteness) disagreements",
     )
-    p.add_argument(
-        "--max-iterations",
-        type=int,
-        help="per-path CIRC refinement budget (UNKNOWN when hit)",
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        help="per-path CIRC wall-clock budget (UNKNOWN when hit)",
-    )
+    _add_budget_arguments(p)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
         "-v",
@@ -1380,7 +1280,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (SyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
+    except CircError as exc:
+        # Never a verdict: an uncaught exception would exit 1, "race".
+        print(f"error: internal CIRC failure: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

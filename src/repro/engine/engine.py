@@ -2,8 +2,8 @@
 
 ``run_batch`` is the bulk entry point (the ``repro-race batch``
 subcommand, the redundancy auditor, and ``bench_engine.py`` all sit on
-it); ``verify_one`` serves single queries, giving ``check_race`` a
-cache-accelerated in-process path with the same digest keying.
+it); ``verify_one`` runs a single query of an already-lowered program
+as a one-job batch, giving ``check_race`` the same cached path.
 
 A batch run:
 
@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..cfa.cfa import CFA
-from ..circ.circ import CircBudgetExceeded, CircInconclusive, circ
 from ..circ.result import CircResult
 from ..smt.profile import PROFILER
 from ..smt.qcache import SAT_CACHE
 from .cache import ArtifactCache
 from .digest import shape_key, slice_digest
 from .events import EventLog
-from .planner import BatchItem, JobResult, options_fingerprint, plan
+from .planner import BatchItem, Job, JobResult, plan
 from .scheduler import execute
 
 __all__ = ["BatchReport", "run_batch", "verify_one"]
@@ -71,7 +70,6 @@ def run_batch(
     workers: int | None = None,
     events: EventLog | str | None = None,
     prefilter: bool = True,
-    warm_start: bool = True,
     shards: int | None = None,
     shard_id: int | None = None,
     shard_workers: int | None = None,
@@ -142,7 +140,6 @@ def run_batch(
         cache=cache,
         events=events,
         workers=workers,
-        warm_start=warm_start,
         # A dry-run shard owns one bucket of its partition, so the fleet
         # buckets its jobs afresh.
         shards=shards if shard_id is None else None,
@@ -190,65 +187,29 @@ def verify_one(
     cfa: CFA,
     variable: str,
     cache_dir: str | None = None,
-    warm_start: bool = True,
     events: EventLog | None = None,
     **circ_options,
 ) -> CircResult:
-    """Cache-accelerated single-query verification (in-process).
+    """Verify one query of an already-lowered program as a one-job batch.
 
-    The digest machinery works directly on the lowered CFA, so callers
-    holding only a CFA (no source text) still get content-addressed
-    reuse; parallelism is pointless for one query, so the scheduler is
-    bypassed.  Budget exhaustion surfaces as a returned
-    :class:`~repro.circ.result.CircUnknown`, mirroring the batch path.
+    The job runs in-process through the same cache lookup, warm-start
+    seeding, portfolio dispatch and cache publish as every
+    :func:`run_batch` job, so the result is the cached artifact's
+    round-trip: a give-up is a :class:`~repro.circ.result.CircUnknown`,
+    and iteration history is not kept.
     """
-    events = events or EventLog()
+    cfa.require_global(variable)
+    job = Job(
+        job_id=0,
+        source=None,
+        thread=None,
+        variable=variable,
+        digest=slice_digest(cfa, variable),
+        shape=shape_key(cfa, variable),
+        options=circ_options,
+        aliases=[("", variable)],
+        cfa=cfa,
+    )
     cache = ArtifactCache(cache_dir) if cache_dir is not None else None
-    # The fingerprint sees the full option dict (including ``portfolio``,
-    # which is salient) before the flag is popped below, so portfolio and
-    # CIRC-only runs never serve each other's cache entries.
-    fp = options_fingerprint(circ_options)
-    digest = slice_digest(cfa, variable)
-    if cache is not None:
-        entry = cache.get(digest, fp)
-        if entry is not None:
-            events.emit("cache_hit", digest=digest[:12])
-            return entry.result
-        events.emit("cache_miss", digest=digest[:12])
-
-    options = dict(circ_options)
-    shape = shape_key(cfa, variable)
-    if cache is not None and warm_start:
-        seeds = cache.seed_predicates(shape, fp)
-        if seeds:
-            events.emit("warm_start", n_predicates=len(seeds))
-            existing = tuple(options.pop("initial_predicates", ()))
-            options["initial_predicates"] = existing + seeds
-
-    portfolio = options.pop("portfolio", False)
-    try:
-        if portfolio:
-            from ..portfolio.driver import run_portfolio
-            from ..portfolio.winrate import WinRateBook
-
-            book = (
-                WinRateBook(cache.root / "winrates.json")
-                if cache is not None
-                else None
-            )
-            report = run_portfolio(
-                cfa,
-                variable,
-                cache=cache,
-                winrates=book,
-                events=events,
-                **options,
-            )
-            result: CircResult = report.to_circ_result()
-        else:
-            result = circ(cfa, race_on=variable, **options)
-    except (CircBudgetExceeded, CircInconclusive) as exc:
-        result = exc.result
-    if cache is not None:
-        cache.put(digest, result, fp, shape=shape)
-    return result
+    results = execute([job], cache=cache, events=events, workers=1)
+    return results[("", variable)].result

@@ -51,17 +51,20 @@ class Job:
     """One deduplicated verification task.
 
     ``aliases`` lists every (model, variable) query this job answers;
-    the first alias is the canonical one.
+    the first alias is the canonical one.  ``cfa``, when given, is the
+    already-lowered ``source`` for in-process runs; it never leaves the
+    process.
     """
 
     job_id: int
-    source: str
+    source: str | None
     thread: str | None
     variable: str
     digest: str
     shape: str
     options: dict
     aliases: list[tuple[str, str]] = field(default_factory=list)
+    cfa: CFA | None = None
 
 
 @dataclass

@@ -29,12 +29,7 @@ import os
 import time
 from typing import Iterable, Sequence
 
-from ..circ.circ import (
-    CircBudgetExceeded,
-    CircError,
-    CircInconclusive,
-    circ,
-)
+from ..circ.circ import circ
 from ..circ.result import CircStats, CircUnknown
 from ..lang.lower import lower_source
 from .artifacts import result_from_obj, result_to_obj, term_from_obj, term_to_obj
@@ -58,12 +53,13 @@ def _run_job_payload(
     in-process).  Pure function of its payload; returns a JSON-ready
     result record and never raises.
 
-    The keyword-only parameters are the serve daemon's hot-state hooks:
-    a pre-lowered ``cfa`` (so a long-lived :class:`~repro.reach.store
-    .ArgStore` keeps its binding -- the store resets when bound to a new
-    CFA object), a persistent ``store`` threaded into ``circ``, and
-    in-process ``cache``/``book`` handles for portfolio jobs.  Fleet
-    workers never pass them.
+    The keyword-only parameters are in-process hooks: a pre-lowered
+    ``cfa`` (a job's :attr:`~repro.engine.planner.Job.cfa`, or the serve
+    daemon's, so a long-lived :class:`~repro.reach.store.ArgStore` keeps
+    its binding -- the store resets when bound to a new CFA object), and
+    the serve daemon's persistent ``store`` threaded into ``circ`` and
+    ``cache``/``book`` handles for portfolio jobs.  Fleet workers never
+    pass them.
     """
     start = time.perf_counter()
     variable = payload["variable"]
@@ -93,15 +89,6 @@ def _run_job_payload(
             if store is not None:
                 options.setdefault("store", store)
             result = circ(cfa, race_on=variable, **options)
-    except (CircBudgetExceeded, CircInconclusive) as exc:
-        result = exc.result
-    except CircError as exc:
-        result = CircUnknown(
-            variable=variable,
-            reason=str(exc),
-            predicates=(),
-            stats=CircStats(),
-        )
     except Exception as exc:  # a verifier bug must not sink the batch
         result = CircUnknown(
             variable=variable,
@@ -271,11 +258,9 @@ def _finish(
     _fan_out(job, record, source, results)
 
 
-def _warm_seeds(
-    job: Job, cache: ArtifactCache | None, events: EventLog, warm_start: bool
-) -> tuple:
+def _warm_seeds(job: Job, cache: ArtifactCache | None, events: EventLog) -> tuple:
     """Warm-start predicates for ``job`` from the cache's shape index."""
-    if cache is None or not warm_start:
+    if cache is None:
         return ()
     seeds = cache.seed_predicates(job.shape, options_fingerprint(job.options))
     if seeds:
@@ -293,7 +278,7 @@ def _run_in_process(
     execution cannot lose a job."""
     for job, payload in work:
         events.emit("job_started", job_id=job.job_id, mode="serial")
-        _finish(job, _run_job_payload(payload), events, cache, results)
+        _finish(job, _run_job_payload(payload, cfa=job.cfa), events, cache, results)
 
 
 def execute(
@@ -301,7 +286,6 @@ def execute(
     cache: ArtifactCache | None = None,
     events: EventLog | None = None,
     workers: int | None = None,
-    warm_start: bool = True,
     shards: int | None = None,
     _test_kill_first_attempt: bool = False,
 ) -> dict[tuple[str, str], JobResult]:
@@ -355,7 +339,6 @@ def execute(
                 workers=workers,
                 cache=cache,
                 events=events,
-                warm_start=warm_start,
                 _test_kill_first_attempt=_test_kill_first_attempt,
             )
         )
@@ -366,11 +349,7 @@ def execute(
     work = [
         (
             job,
-            _job_payload(
-                job,
-                _warm_seeds(job, cache, events, warm_start),
-                cache_root=cache_root,
-            ),
+            _job_payload(job, _warm_seeds(job, cache, events), cache_root=cache_root),
         )
         for job in pending
     ]

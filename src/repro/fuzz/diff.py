@@ -3,8 +3,9 @@
 Each generated program is pushed through nine verdict paths -- plain
 CIRC and omega-CIRC (``circ()`` with ``variant="circ"`` and
 ``variant="omega"``), ``check_race(prefilter=True)``, the batch engine
-cold and warm (two :func:`~repro.engine.verify_one` calls against one
-fresh cache directory), the lockset/flowcheck baselines, the two-phase
+cold and warm (two :func:`~repro.engine.verify_one` calls, each a
+one-job batch, against one fresh cache directory), the
+lockset/flowcheck baselines, the two-phase
 ``racer`` detector, and the cross-cancelling ``portfolio`` driver --
 and every verdict is compared against the :mod:`repro.fuzz.oracle`
 verdict.  The paths after ``omega`` run the library default, omega-CIRC.
@@ -17,8 +18,8 @@ Disagreement taxonomy (``HARD_CLASSES`` fail the build):
   replay: the verdict may even be right, but the evidence is forged.
 * ``oracle`` -- a path produced a *replayed* race inside a bound the
   oracle certified safe: an internal contradiction, someone is broken.
-* ``crash`` -- a path raised an unexpected exception on a well-formed
-  program.
+* ``crash`` -- a path raised an exception on a well-formed program: an
+  internal error, since giving up is an ``unknown`` verdict.
 * ``incompleteness`` -- a path said Race/Unknown where the oracle
   proved safety (logged: expected for the approximate baselines, e.g.
   lockset on the paper's Figure 1 monitor idiom).
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field, replace
 from ..baselines.flowcheck import flow_analysis_cfa
 from ..baselines.lockset import lockset_analysis
 from ..cfa.cfa import CFA
-from ..circ.circ import CircBudgetExceeded, CircError, circ
+from ..circ.circ import circ
 from ..circ.result import CircResult, CircSafe, CircUnsafe
 from ..engine.engine import verify_one
 from ..engine.events import EventLog
@@ -189,12 +190,6 @@ def _run_paths(cfa: CFA, race_var: str, config: FuzzConfig) -> list[PathResult]:
         start = time.perf_counter()
         try:
             verdict, n, steps, detail = fn()
-        except (CircError, CircBudgetExceeded) as exc:
-            result = getattr(exc, "result", None)
-            if result is not None:
-                verdict, n, steps, detail = "unknown", 0, (), str(exc)
-            else:
-                verdict, n, steps, detail = "crash", 0, (), repr(exc)
         except Exception as exc:  # noqa: BLE001 -- a fuzzer reports, never dies
             verdict, n, steps, detail = "crash", 0, (), repr(exc)
         results.append(

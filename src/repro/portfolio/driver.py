@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 from ..acfa.acfa import empty_acfa
 from ..cfa.cfa import CFA, Edge
-from ..circ.circ import CircBudgetExceeded, CircError, CircInconclusive, circ
+from ..circ.circ import circ
 from ..circ.result import (
     CircResult,
     CircSafe,
@@ -212,20 +212,6 @@ def _reconcile(
     if confident:
         return confident[0].verdict, confident[0].analysis
     return "unknown", ""
-
-
-def _run_circ(cfa: CFA, variable: str, circ_options: dict) -> CircResult:
-    try:
-        return circ(cfa, race_on=variable, **circ_options)
-    except (CircBudgetExceeded, CircInconclusive) as exc:
-        return exc.result
-    except CircError as exc:
-        return CircUnknown(
-            variable=variable,
-            reason=str(exc),
-            predicates=(),
-            stats=CircStats(),
-        )
 
 
 def _circ_outcome(result: CircResult, time_ms: float) -> AnalysisOutcome:
@@ -417,7 +403,7 @@ def _run_serial(
         )
         if name == "circ":
             start = time.perf_counter()
-            result = _run_circ(cfa, variable, dict(circ_options))
+            result = circ(cfa, race_on=variable, **circ_options)
             outcome = _circ_outcome(
                 result, (time.perf_counter() - start) * 1000.0
             )

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..circ.circ import CircError, circ
+from ..circ.circ import circ
 from ..lang import ast as A
 from ..lang.lower import lower_thread
 from ..lang.parser import parse_program
@@ -305,6 +305,10 @@ def find_redundant_sync(
     base_cfa = lower_thread(program, tdef.name)
     if static_verdict(base_cfa) is None:
         baseline = circ(base_cfa, race_on=variable, **circ_options)
+        if baseline.unknown:
+            raise ValueError(
+                f"baseline verification undecided: {baseline.reason}"
+            )
         if not baseline.safe:
             raise ValueError(
                 f"the program already races on {variable!r}; "
@@ -327,18 +331,12 @@ def find_redundant_sync(
                 )
             )
             return
-        try:
-            result = circ(
-                variant_cfa,
-                race_on=variable,
-                **circ_options,
-            )
-        except CircError as exc:
+        result = circ(variant_cfa, race_on=variable, **circ_options)
+        if result.unknown:
             findings.append(
-                RedundancyFinding(site, False, f"undecided: {exc}")
+                RedundancyFinding(site, False, f"undecided: {result.reason}")
             )
-            return
-        if result.safe:
+        elif result.safe:
             findings.append(
                 RedundancyFinding(
                     site,

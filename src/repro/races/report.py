@@ -15,7 +15,7 @@ from typing import Iterable
 
 from ..baselines.lockset import lockset_analysis
 from ..cfa.cfa import CFA
-from ..circ.circ import CircError, circ
+from ..circ.circ import circ
 from ..circ.result import CircSafe, CircUnsafe
 from ..smt.terms import pretty
 from .spec import racy_variables
@@ -282,6 +282,10 @@ class AuditReport:
         return [v for v in self.variables if v.verdict == "safe"]
 
     @property
+    def undecided(self) -> list[VariableAudit]:
+        return [v for v in self.variables if v.verdict == "undecided"]
+
+    @property
     def false_positives(self) -> list[VariableAudit]:
         """Baseline warnings that CIRC discharged."""
         return [
@@ -316,23 +320,18 @@ def audit(
             report.variables.append(entry)
             continue
         start = time.perf_counter()
-        try:
-            result = circ(cfa, race_on=var, **circ_options)
-        except CircError as exc:
-            entry.detail = str(exc)
-            entry.elapsed_seconds = time.perf_counter() - start
-            report.variables.append(entry)
-            continue
+        result = circ(cfa, race_on=var, **circ_options)
         entry.elapsed_seconds = time.perf_counter() - start
         if isinstance(result, CircSafe):
             entry.verdict = "safe"
             entry.predicates = result.predicates
             entry.acfa_size = result.context.size
-        else:
-            assert isinstance(result, CircUnsafe)
+        elif isinstance(result, CircUnsafe):
             entry.verdict = "race"
             entry.witness = tuple(result.steps)
             entry.n_threads = result.n_threads
+        else:
+            entry.detail = result.reason
         report.variables.append(entry)
     return report
 

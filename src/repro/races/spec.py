@@ -15,7 +15,7 @@ from __future__ import annotations
 
 
 from ..cfa.cfa import CFA
-from ..circ.circ import CircBudgetExceeded, CircInconclusive, circ
+from ..circ.circ import circ
 from ..circ.result import CircResult
 from ..exec.interp import ExploreResult, MultiProgram, explore
 from ..lang.lower import lower_source
@@ -76,13 +76,15 @@ def check_race(
     the whole CEGAR loop.
 
     With ``engine=True`` the query routes through the verification
-    engine (:mod:`repro.engine`): the content-addressed artifact cache
-    under ``cache_dir`` answers repeat queries for byte-identical slices
-    instantly and warm-starts near-matches from cached predicates.  The
-    verdict is unchanged (a cache hit implies an identical lowered
-    slice); budget exhaustion (``max_iterations``/``timeout_s``)
-    surfaces as a :class:`~repro.circ.result.CircUnknown` instead of an
-    exception on both paths.
+    engine (:mod:`repro.engine`) as a one-job batch: the
+    content-addressed artifact cache under ``cache_dir`` answers repeat
+    queries for byte-identical slices instantly and warm-starts
+    near-matches from cached predicates.  The verdict is unchanged (a
+    cache hit implies an identical lowered slice).
+
+    On every path a CIRC run that gives up (a budget ran out, or a
+    refinement stalled) returns a
+    :class:`~repro.circ.result.CircUnknown`.
     """
     cfa = _as_cfa(program, thread)
     cfa.require_global(variable)
@@ -103,10 +105,7 @@ def check_race(
         from ..static.prefilter import prefilter_check
 
         return prefilter_check(cfa, variable, **circ_options)
-    try:
-        return circ(cfa, race_on=variable, **circ_options)
-    except (CircBudgetExceeded, CircInconclusive) as exc:
-        return exc.result
+    return circ(cfa, race_on=variable, **circ_options)
 
 
 def check_race_bounded(

@@ -117,7 +117,6 @@ def execute_sharded(
     workers: int,
     cache: ArtifactCache | None = None,
     events: EventLog | None = None,
-    warm_start: bool = True,
     _test_kill_first_attempt: bool = False,
 ) -> dict[tuple[str, str], JobResult]:
     """Run cache-missed ``jobs`` on ``workers`` worker processes.
@@ -149,7 +148,7 @@ def execute_sharded(
         # Seeds are computed at dispatch time so this job warm-starts
         # from predicates published by jobs that finished *during* this
         # run -- on any worker, through the shared shape index.
-        seeds = _warm_seeds(job, cache, events, warm_start)
+        seeds = _warm_seeds(job, cache, events)
         kill = _test_kill_first_attempt and job.job_id not in killed
         if kill:
             killed.add(job.job_id)
@@ -226,7 +225,7 @@ def execute_sharded(
             with results_lock:
                 _finish(job, frame["record"], events, cache, results)
 
-    slots = [Worker(i, cache_root, warm_start) for i in range(workers)]
+    slots = [Worker(i, cache_root) for i in range(workers)]
     # Started before the slot threads, so that a single-threaded caller
     # forks them (see Worker.spawn).  A slot whose worker fails to start
     # gets no thread; the others steal its buckets.

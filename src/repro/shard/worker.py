@@ -9,7 +9,7 @@ a :class:`Worker` handle, with a pipe per direction, and speaks the
 serve daemon's framing (:func:`repro.serve.protocol.encode_frame` /
 ``decode_frame``) with a three-op vocabulary:
 
-``{"op": "hello", "worker": N, "cache_root": PATH?, "warm_start": B}``
+``{"op": "hello", "worker": N, "cache_root": PATH?}``
     Session setup.  With a cache root, the worker warm-starts its SMT
     query cache from the shared persistent tier, so every worker in the
     fleet begins with the fleet's accumulated verdicts.  Replies
@@ -120,15 +120,9 @@ class _Forked:
 class Worker:
     """The parent's handle on one worker process and its pipes."""
 
-    def __init__(
-        self,
-        worker_id: int,
-        cache_root: str | None = None,
-        warm_start: bool = True,
-    ):
+    def __init__(self, worker_id: int, cache_root: str | None = None):
         self.id = worker_id
         self.cache_root = cache_root
-        self.warm_start = warm_start
         self.proc: subprocess.Popen | _Forked | None = None
         self.spawns = 0
 
@@ -156,14 +150,7 @@ class Worker:
                 text=True,
                 env=_child_env(),
             )
-        self.send(
-            {
-                "op": "hello",
-                "worker": self.id,
-                "cache_root": self.cache_root,
-                "warm_start": self.warm_start,
-            }
-        )
+        self.send({"op": "hello", "worker": self.id, "cache_root": self.cache_root})
         ready = self.recv()
         if ready is None or ready.get("frame") != "ready":
             self.kill()

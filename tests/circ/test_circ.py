@@ -94,7 +94,7 @@ def test_read_write_race():
     thread t { local int tmp; while (1) { tmp = x; x = tmp + 1; } }
     """
     r = circ(lower_source(src), race_on="x")
-    assert not r.safe
+    assert isinstance(r, CircUnsafe)
 
 
 def test_initial_predicates_accelerate(fig1_cfa):
@@ -161,7 +161,7 @@ def test_assertion_violation_found():
     """
     # With two threads interleaving, g can be 2 at the assert.
     r = circ(lower_source(src), check_errors=True)
-    assert not r.safe
+    assert isinstance(r, CircUnsafe)
 
 
 def test_verdicts_agree_with_explicit_oracle():

@@ -9,7 +9,7 @@ under plain CIRC and omega-CIRC alike.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circ.circ import CircBudgetExceeded, CircError, circ
+from repro.circ.circ import circ
 from repro.circ.result import CircSafe, CircUnsafe
 from repro.fuzz.gen import GenConfig, generate
 from repro.lang.lower import lower_thread
@@ -27,12 +27,12 @@ BUDGET = dict(max_outer=6, max_inner=40, timeout_s=20.0)
 
 
 def _run(cfa, race_on, **kwargs):
-    try:
-        return circ(cfa, race_on=race_on, **BUDGET, **kwargs)
-    except CircBudgetExceeded as exc:
-        return exc.result
-    except CircError:
+    """CIRC under ``BUDGET``; None when it gave up other than on its
+    wall-clock budget (such runs are not compared)."""
+    result = circ(cfa, race_on=race_on, **BUDGET, **kwargs)
+    if result.unknown and not result.reason.startswith("wall-clock"):
         return None
+    return result
 
 
 def _observables(result):

@@ -96,7 +96,7 @@ def test_reader_writer_without_lock_races():
     }
     """
     r = circ_multi(lower_program(src), race_on="data")
-    assert not r.safe
+    assert isinstance(r, MultiUnsafe)
 
 
 def test_mismatched_globals_rejected():

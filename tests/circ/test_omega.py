@@ -1,6 +1,6 @@
 """Tests for the infinity-check variant (Section 5)."""
 
-from repro.circ import circ, omega_check
+from repro.circ import CircUnsafe, circ, omega_check
 from repro.lang import lower_source
 from repro.nesc.programs import TEST_AND_SET_SOURCE
 
@@ -16,7 +16,7 @@ def test_omega_variant_finds_races():
         "global int x; thread t { while (1) { x = x + 1; } }"
     )
     r = circ(cfa, race_on="x", variant="omega")
-    assert not r.safe
+    assert isinstance(r, CircUnsafe)
 
 
 def test_omega_variant_ctx_ctx_race_needs_counter_growth():

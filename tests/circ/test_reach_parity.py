@@ -24,7 +24,6 @@ import pytest
 
 from repro.acfa.acfa import acfa_signature
 from repro.circ import circ
-from repro.circ.circ import CircBudgetExceeded, CircInconclusive
 from repro.context.state import AbstractProgram
 from repro.fuzz.gen import GenConfig, generate
 from repro.lang import lower_source
@@ -64,18 +63,15 @@ def _recorded():
     iteration its cartesian CIRC run explored."""
     out = []
     for name, cfa, var in _queries():
-        try:
-            result = circ(
-                cfa,
-                race_on=var,
-                variant="circ",
-                keep_history=True,
-                max_outer=25,
-                max_inner=25,
-                max_iterations=60,
-            )
-        except (CircBudgetExceeded, CircInconclusive) as exc:
-            result = exc.result
+        result = circ(
+            cfa,
+            race_on=var,
+            variant="circ",
+            keep_history=True,
+            max_outer=25,
+            max_inner=25,
+            max_iterations=60,
+        )
         iterations = [
             (rec.predicates, rec.k, rec.acfa)
             for rec in result.stats.history

@@ -10,6 +10,7 @@ from repro.acfa.acfa import Acfa, AcfaEdge, empty_acfa
 from repro.cfa.cfa import AssignOp, AssumeOp
 from repro.circ.circ import circ
 from repro.context.state import AbstractProgram
+from repro.engine.planner import _verdict_of
 from repro.predabs.abstractor import Abstractor
 from repro.predabs.region import TOP, PredicateSet
 from repro.reach import (
@@ -289,7 +290,7 @@ def test_circ_shared_store_across_calls():
     store = ArgStore()
     a = circ(cfa, race_on="g", store=store)
     b = circ(cfa, race_on="g", store=store)
-    assert a.safe == b.safe
+    assert _verdict_of(a) == _verdict_of(b)
     assert b.stats.reuse["result_hits"] > 0
 
 

@@ -13,7 +13,7 @@ too, against the explicit-state checker of :mod:`repro.fuzz.oracle`.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circ.circ import CircBudgetExceeded, CircError, circ
+from repro.circ.circ import circ
 from repro.circ.result import CircSafe, CircUnsafe
 from repro.fuzz.diff import PathResult, _classify
 from repro.fuzz.gen import GenConfig, generate
@@ -33,20 +33,11 @@ variants = st.sampled_from(("circ", "omega"))
 BUDGET = dict(max_outer=6, max_inner=40, timeout_s=20.0)
 
 
-def _run(cfa, race_on, **kwargs):
-    try:
-        return circ(cfa, race_on=race_on, **BUDGET, **kwargs)
-    except CircBudgetExceeded as exc:
-        return exc.result
-    except CircError:
-        return None
-
-
 def _populated_store(seed, variant):
     gp = generate(seed, GenConfig(pointers=False))
     cfa = lower_thread(gp.program, gp.thread)
     store = ArgStore()
-    result = _run(cfa, gp.race_var, store=store, variant=variant)
+    result = circ(cfa, race_on=gp.race_var, store=store, variant=variant, **BUDGET)
     return store, gp, cfa, result
 
 
@@ -92,7 +83,7 @@ def _oracle_supports(store):
 
 def _path(result):
     """The populating run as a fuzz verdict path.  A run that ran out of
-    this test's small outer-loop budget (``None``) is undecided."""
+    this test's small outer-loop budget is undecided."""
     if isinstance(result, CircSafe):
         return PathResult("circ", "safe", 0.0)
     if isinstance(result, CircUnsafe):

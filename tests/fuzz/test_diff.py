@@ -5,6 +5,7 @@ from repro.fuzz.diff import (
     HARD_CLASSES,
     PATHS,
     Disagreement,
+    FuzzConfig,
     PathResult,
     _classify,
     check_one,
@@ -15,6 +16,7 @@ from repro.fuzz.diff import (
 from repro.fuzz.oracle import BoundCertificate, OracleVerdict
 from repro.lang.lower import lower_source
 from repro.lang.parser import parse_program
+from repro.nesc.programs import TEST_AND_SET_SOURCE
 
 RACY = "global int x; thread t0 { while (*) { x = 1 - x; } }"
 SAFE = "global int x; thread t0 { while (*) { atomic { x = 1 - x; } } }"
@@ -124,6 +126,24 @@ def test_check_one_monitor_flags_baseline_incompleteness():
     by_path = {p.path: p.verdict for p in outcome.paths}
     assert by_path["circ"] == "safe"
     assert by_path["engine-warm"] == "safe"
+
+
+def test_check_one_give_up_is_unknown_not_crash():
+    # Figure 1 needs a refinement, so one outer iteration makes a cold
+    # CIRC run give up: an unknown verdict, never a crash.
+    config = FuzzConfig(circ_options=(("max_outer", 1),))
+    outcome = check_one(
+        parse_program(TEST_AND_SET_SOURCE), "main", "x", config=config
+    )
+    assert not outcome.hard
+    by_path = {p.path: p for p in outcome.paths}
+    for name in ("circ", "omega", "prefilter", "engine-cold"):
+        assert by_path[name].verdict == "unknown", by_path[name]
+        assert by_path[name].detail == "no verdict after 1 outer iterations"
+    # The cold run's predicates warm-start the second engine run, which
+    # then converges within its one outer iteration.
+    assert by_path["engine-warm"].verdict == "safe"
+    assert by_path["portfolio"].verdict == "unknown"
 
 
 def test_check_one_covers_all_paths():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.circ import CircError, circ
 from repro.cli import main
 
 FIG1 = """
@@ -366,19 +367,59 @@ def test_batch_portfolio_flag(fig1_file, racy_file, tmp_path, capsys):
 
 
 def test_exit_code_parity_across_frontends(
-    racy_file, locked_file, tmp_path, capsys
+    racy_file, locked_file, fig1_file, tmp_path, capsys
 ):
     """Lock the verdict->exit-code mapping across every frontend: the
-    same program must yield the same exit code from check, batch,
-    portfolio, and baselines (0 safe, 1 race, 4 unknown)."""
-    for path, expected in ((racy_file, 1), (locked_file, 0)):
-        assert main(["check", path, "--var", "x"]) == expected
-        assert main(
-            ["batch", path, "--var", "x", "--no-cache", "--workers", "1"]
-        ) == expected
-        assert main(["portfolio", path, "--var", "x", "--no-cache"]) == expected
-        assert main(["baselines", path, "--var", "x"]) == expected
+    same query must yield the same exit code from check, check --report,
+    batch, portfolio, and baselines (0 safe, 1 race, 4 unknown)."""
+    report = str(tmp_path / "audit.md")
+    rows = (
+        (racy_file, (), 1),
+        (locked_file, (), 0),
+        # One refinement iteration cannot prove Figure 1.
+        (fig1_file, ("--max-iterations", "1"), 4),
+    )
+    for path, budget, expected in rows:
+        query = [path, "--var", "x", *budget]
+        assert main(["check", *query]) == expected
+        assert main(["check", *query, "--report", report]) == expected
+        assert main(["batch", *query, "--no-cache", "--workers", "1"]) == expected
+        assert main(["portfolio", *query, "--no-cache"]) == expected
+        if not budget:  # baselines take no CIRC budget
+            assert main(["baselines", *query]) == expected
         capsys.readouterr()
+
+
+def test_check_and_batch_agree_when_circ_gives_up(
+    fig1_file, monkeypatch, capsys
+):
+    """A CIRC run that gives up is UNKNOWN (exit 4) from check and batch
+    alike, whichever way it gives up."""
+    import functools
+
+    from repro import cli
+    from repro.engine import scheduler
+
+    gives_up = functools.partial(circ, max_outer=1)
+    monkeypatch.setattr(cli, "circ", gives_up)
+    monkeypatch.setattr(scheduler, "circ", gives_up)
+    assert main(["check", fig1_file, "--var", "x"]) == 4
+    assert "x: UNKNOWN" in capsys.readouterr().out
+    assert main(
+        ["batch", fig1_file, "--var", "x", "--no-cache", "--workers", "1"]
+    ) == 4
+
+
+def test_internal_circ_failure_is_not_a_verdict(fig1_file, monkeypatch, capsys):
+    """An internal CIRC failure exits 2, never 1 (race) or a verdict."""
+    from repro import cli
+
+    def broken(*args, **kwargs):
+        raise CircError("counterexample failed concrete replay")
+
+    monkeypatch.setattr(cli, "circ", broken)
+    assert main(["check", fig1_file, "--var", "x"]) == 2
+    assert "internal CIRC failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circ import CircError, circ
+from repro.circ import circ
 from repro.exec import MultiProgram, explore
 from repro.lang import lower_source
 
@@ -65,9 +65,8 @@ def programs(draw):
 @given(programs())
 def test_circ_agrees_with_oracle(src):
     cfa = lower_source(src)
-    try:
-        verdict = circ(cfa, race_on="x", max_states=120_000)
-    except CircError:
+    verdict = circ(cfa, race_on="x", max_states=120_000)
+    if verdict.unknown:
         pytest.skip("budget exhausted on this sample")
     for n in (2, 3):
         oracle = explore(

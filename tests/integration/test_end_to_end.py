@@ -4,6 +4,7 @@ import pytest
 
 from repro import check_race, check_race_bounded, lower_source
 from repro.baselines import lockset_analysis
+from repro.circ import CircUnsafe
 
 DOUBLE_CHECKED = """
 global int data, ready;
@@ -69,7 +70,7 @@ def test_handoff_protocol_safe():
 
 def test_broken_handoff_races():
     result = check_race(BROKEN_HANDOFF, "buf")
-    assert not result.safe
+    assert isinstance(result, CircUnsafe)
 
 
 def test_state_variable_also_safe():

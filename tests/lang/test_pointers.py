@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circ import circ
+from repro.circ import CircUnsafe, circ
 from repro.exec import MultiProgram, explore
 from repro.lang import lower_source
 from repro.lang.parser import parse_program
@@ -171,7 +171,7 @@ def test_race_through_alias_detected():
     }
     """
     r = circ(lower_source(src), race_on="x")
-    assert not r.safe
+    assert isinstance(r, CircUnsafe)
 
 
 def test_no_race_when_aliases_disjoint():

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.circ.circ import CircBudgetExceeded, CircInconclusive, circ
+from repro.circ.circ import circ
 from repro.circ.result import CircSafe, CircUnsafe, CircUnknown
 from repro.engine.cache import ArtifactCache
 from repro.engine.events import EventLog
@@ -83,10 +83,7 @@ BUDGET = {"max_outer": 25, "max_inner": 25}
 
 
 def _circ_only(source):
-    try:
-        return circ(lower_source(source), race_on="x", **BUDGET)
-    except (CircBudgetExceeded, CircInconclusive) as exc:
-        return exc.result
+    return circ(lower_source(source), race_on="x", **BUDGET)
 
 
 def test_baseline_win_cancels_circ():
