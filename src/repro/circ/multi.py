@@ -32,7 +32,12 @@ from ..reach import ArgStore
 from ..smt import terms as T
 from ..smt.solver import get_model
 from .circ import CircError
-from ..reach import AbstractRaceFound, ReachResult, reach_and_build
+from ..reach import (
+    AbstractRaceFound,
+    ReachBudgetExceeded,
+    ReachResult,
+    reach_and_build,
+)
 from .refine import (
     MAX_CANDIDATES,
     RefinementFailure,
@@ -151,9 +156,11 @@ def circ_multi(
     """Check races on ``race_on`` over arbitrarily many copies of *each*
     template running concurrently.
 
-    Like :func:`~repro.circ.circ.circ`, running out of ``max_outer`` or
-    ``max_inner`` returns a :class:`~repro.circ.result.CircUnknown`
-    (its predicates are every template's, in template order).
+    Like :func:`~repro.circ.circ.circ`, every way of giving up --
+    running out of ``max_outer``, ``max_inner`` or ``max_states``, or a
+    refinement that finds no new predicate -- returns a
+    :class:`~repro.circ.result.CircUnknown` (its predicates are every
+    template's, in template order).
 
     One :class:`~repro.reach.store.ArgStore` per template reuses abstract
     posts and collapse quotients across inner iterations and refinement
@@ -225,22 +232,27 @@ def circ_multi(
                 except AbstractRaceFound as exc:
                     race = (i, exc)
                     break
+                except ReachBudgetExceeded as exc:
+                    return give_up(str(exc))
             if race is not None:
                 main_i, exc = race
-                outcome = _refine_multi(
-                    names,
-                    cfas,
-                    main_i,
-                    race_on,
-                    exc,
-                    union,
-                    contexts,
-                    prev,
-                    mus,
-                    k,
-                    preds,
-                    strategy,
-                )
+                try:
+                    outcome = _refine_multi(
+                        names,
+                        cfas,
+                        main_i,
+                        race_on,
+                        exc,
+                        union,
+                        contexts,
+                        prev,
+                        mus,
+                        k,
+                        preds,
+                        strategy,
+                    )
+                except RefinementFailure as stalled:
+                    return give_up(str(stalled))
                 if isinstance(outcome, MultiUnsafe):
                     if validate_witness:
                         order = sorted(outcome.template_of)

@@ -184,6 +184,12 @@ def _cmd_check(args) -> int:
     if not variables or variables == [None]:
         print("error: give --var NAME or --all", file=sys.stderr)
         return 2
+    if args.parallel and not args.portfolio:
+        print("error: --parallel requires --portfolio", file=sys.stderr)
+        return 2
+    if args.report and args.portfolio:
+        print("error: --report does not combine with --portfolio", file=sys.stderr)
+        return 2
     if args.stats:
         from .smt.profile import PROFILER
 

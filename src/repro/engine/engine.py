@@ -73,7 +73,6 @@ def run_batch(
     shards: int | None = None,
     shard_id: int | None = None,
     shard_workers: int | None = None,
-    _test_kill_first_attempt: bool = False,
     **circ_options,
 ) -> BatchReport:
     """Verify every (model, variable) query of ``items``.
@@ -143,7 +142,6 @@ def run_batch(
         # A dry-run shard owns one bucket of its partition, so the fleet
         # buckets its jobs afresh.
         shards=shards if shard_id is None else None,
-        _test_kill_first_attempt=_test_kill_first_attempt,
     )
 
     by_query = {(r.model, r.variable): r for r in the_plan.done}

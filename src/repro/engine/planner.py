@@ -29,6 +29,7 @@ from ..circ.circ import circ
 from ..circ.result import CircResult
 from ..lang.lower import lower_source
 from ..races.spec import racy_variables
+from ..reach.store import ArgStore
 from .digest import shape_key, slice_digest
 from .events import EventLog
 
@@ -52,8 +53,9 @@ class Job:
 
     ``aliases`` lists every (model, variable) query this job answers;
     the first alias is the canonical one.  ``cfa``, when given, is the
-    already-lowered ``source`` for in-process runs; it never leaves the
-    process.
+    already-lowered ``source`` for in-process runs, and ``store`` a
+    persistent :class:`~repro.reach.store.ArgStore` bound to it (the
+    serve daemon's hot context); neither ever leaves the process.
     """
 
     job_id: int
@@ -65,6 +67,7 @@ class Job:
     options: dict
     aliases: list[tuple[str, str]] = field(default_factory=list)
     cfa: CFA | None = None
+    store: ArgStore | None = None
 
 
 @dataclass

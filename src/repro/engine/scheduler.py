@@ -15,7 +15,9 @@ every job through a three-level strategy:
    wedging a worker forever;
 3. **in-process** -- with one worker, every job runs here; with a
    fleet, jobs that exhausted their retries or outlived every worker do,
-   so a batch always completes with a full verdict table.
+   so a batch always completes with a full verdict table.  The serve
+   daemon runs each of its jobs here too, as a one-job batch that
+   carries the daemon's hot CFA and ArgStore.
 
 Every path runs a job through the same :func:`_run_job_payload`, and
 workers return JSON-ready artifact objects (see
@@ -30,7 +32,7 @@ import time
 from typing import Iterable, Sequence
 
 from ..circ.circ import circ
-from ..circ.result import CircStats, CircUnknown
+from ..circ.result import CircResult, CircStats, CircUnknown
 from ..lang.lower import lower_source
 from .artifacts import result_from_obj, result_to_obj, term_from_obj, term_to_obj
 from .cache import ArtifactCache
@@ -45,21 +47,18 @@ def _run_job_payload(
     *,
     cfa=None,
     store=None,
-    cache: ArtifactCache | None = None,
-    book=None,
     events: EventLog | None = None,
 ) -> dict:
     """Execute one verification job (runs inside a worker process or
     in-process).  Pure function of its payload; returns a JSON-ready
     result record and never raises.
 
-    The keyword-only parameters are in-process hooks: a pre-lowered
-    ``cfa`` (a job's :attr:`~repro.engine.planner.Job.cfa`, or the serve
-    daemon's, so a long-lived :class:`~repro.reach.store.ArgStore` keeps
-    its binding -- the store resets when bound to a new CFA object), and
-    the serve daemon's persistent ``store`` threaded into ``circ`` and
-    ``cache``/``book`` handles for portfolio jobs.  Fleet workers never
-    pass them.
+    The keyword-only parameters are in-process hooks: a job's
+    pre-lowered :attr:`~repro.engine.planner.Job.cfa` keeps its
+    long-lived :attr:`~repro.engine.planner.Job.store` bound (an
+    :class:`~repro.reach.store.ArgStore` resets when bound to a new CFA
+    object), ``store`` is threaded into ``circ``, and ``events``
+    receives a portfolio job's events.  Fleet workers pass none of them.
     """
     start = time.perf_counter()
     variable = payload["variable"]
@@ -76,14 +75,7 @@ def _run_job_payload(
             options["initial_predicates"] = existing + seeds
         if options.pop("portfolio", False):
             result = _run_portfolio_job(
-                cfa,
-                variable,
-                payload,
-                options,
-                extras,
-                cache=cache,
-                book=book,
-                events=events,
+                cfa, variable, payload, options, extras, events
             )
         else:
             if store is not None:
@@ -114,18 +106,14 @@ def _run_job_payload(
     return record
 
 
-def _run_portfolio_job(
-    cfa, variable, payload, options, extras, cache=None, book=None,
-    events=None,
-):
+def _run_portfolio_job(cfa, variable, payload, options, extras, events):
     """Resolve one job through the analysis portfolio.
 
-    Without in-process handles, the worker rebuilds its own on the
-    shared cache root (blob reads/writes are atomic and checksummed, and
-    the win-rate book's save is a locked read-merge-write), so warm
-    absint summaries and learned scheduling order survive across batch
-    workers.  The serve daemon passes its hot ``cache``/``book``
-    directly instead.
+    Every job opens the shared cache root's artifact cache and win-rate
+    book itself (blob reads/writes are atomic and checksummed, and the
+    book's save after each query is a locked read-merge-write), so warm
+    absint summaries and learned scheduling order carry from job to job,
+    in-process and across workers alike.
     """
     # Imported here, not at module top: the portfolio package sits on
     # the engine's cache/events modules, so a top-level import would
@@ -134,9 +122,9 @@ def _run_portfolio_job(
     from ..portfolio.winrate import WinRateBook
 
     cache_root = payload.get("cache_root")
-    if cache is None and cache_root:
+    cache = book = None
+    if cache_root:
         cache = ArtifactCache(cache_root)
-    if book is None and cache_root:
         book = WinRateBook(os.path.join(cache_root, "winrates.json"))
     try:
         report = run_portfolio(
@@ -169,12 +157,7 @@ def _run_portfolio_job(
     return report.to_circ_result()
 
 
-def _job_payload(
-    job: Job,
-    seeds: tuple,
-    test_kill: bool = False,
-    cache_root: str | None = None,
-) -> dict:
+def _job_payload(job: Job, seeds: tuple, cache_root: str | None = None) -> dict:
     payload = {
         "job_id": job.job_id,
         "source": job.source,
@@ -185,26 +168,24 @@ def _job_payload(
     }
     if cache_root is not None and job.options.get("portfolio"):
         payload["cache_root"] = cache_root
-    if test_kill:
-        payload["_test_kill_worker"] = True
     return payload
 
 
 def _fan_out(
     job: Job,
-    record: dict,
+    result: CircResult,
+    time_ms: float,
     source: str,
     results: dict[tuple[str, str], JobResult],
 ) -> None:
-    """Translate one job record into a JobResult per (model, variable)."""
-    result = result_from_obj(record["result"])
+    """Translate one job's result into a JobResult per (model, variable)."""
     for model, variable in job.aliases:
         results[(model, variable)] = JobResult(
             model=model,
             variable=variable,
             verdict=_verdict_of(result),
             source=source,
-            time_ms=record["elapsed_ms"],
+            time_ms=time_ms,
             detail=getattr(result, "reason", ""),
             result=result,
             digest=job.digest,
@@ -255,7 +236,7 @@ def _finish(
             if k in record
         },
     )
-    _fan_out(job, record, source, results)
+    _fan_out(job, result, record["elapsed_ms"], source, results)
 
 
 def _warm_seeds(job: Job, cache: ArtifactCache | None, events: EventLog) -> tuple:
@@ -278,7 +259,10 @@ def _run_in_process(
     execution cannot lose a job."""
     for job, payload in work:
         events.emit("job_started", job_id=job.job_id, mode="serial")
-        _finish(job, _run_job_payload(payload, cfa=job.cfa), events, cache, results)
+        record = _run_job_payload(
+            payload, cfa=job.cfa, store=job.store, events=events
+        )
+        _finish(job, record, events, cache, results)
 
 
 def execute(
@@ -287,7 +271,6 @@ def execute(
     events: EventLog | None = None,
     workers: int | None = None,
     shards: int | None = None,
-    _test_kill_first_attempt: bool = False,
 ) -> dict[tuple[str, str], JobResult]:
     """Run a worklist to completion; returns results per (model, variable).
 
@@ -295,9 +278,7 @@ def execute(
     capped by the number of cache misses.  More than one worker runs the
     misses on the worker fleet, partitioned into ``shards`` digest
     buckets (default: two per worker, so stealing has work to move); one
-    worker runs them in-process.  The private ``_test_kill_first_attempt``
-    knob makes fleet workers die on their first attempt, exercising the
-    crash-recovery path in tests.
+    worker runs them in-process.
     """
     events = events or EventLog()
     results: dict[tuple[str, str], JobResult] = {}
@@ -312,12 +293,7 @@ def execute(
                 digest=job.digest[:12],
                 verdict=_verdict_of(entry.result),
             )
-            _fan_out(
-                job,
-                {"result": result_to_obj(entry.result), "elapsed_ms": 0.0},
-                "cache",
-                results,
-            )
+            _fan_out(job, entry.result, 0.0, "cache", results)
             continue
         events.emit("cache_miss", job_id=job.job_id, digest=job.digest[:12])
         pending.append(job)
@@ -339,7 +315,6 @@ def execute(
                 workers=workers,
                 cache=cache,
                 events=events,
-                _test_kill_first_attempt=_test_kill_first_attempt,
             )
         )
         return results

@@ -13,11 +13,12 @@ across the whole daemon:
   (UNKNOWN verdicts are never held there -- a repeat query should
   retry, mirroring the artifact cache's contract);
 * otherwise the job is scheduled on the worker pool, throttled by its
-  submitting client's ``max_jobs`` budget, and executed through the
-  same :func:`repro.engine.scheduler._run_job_payload` path the batch
-  engine uses -- with the daemon's hot CFA + ArgStore handed in, so
-  verdicts match the CLI exactly while warm re-verification skips the
-  exploration cost.
+  submitting client's ``max_jobs`` budget, and run as a one-job batch
+  through :func:`repro.engine.scheduler.execute` -- the same cache
+  lookup, warm start, events and row attribution as ``batch`` -- with
+  the daemon's hot CFA + ArgStore riding on the job, so verdicts match
+  the CLI exactly while later variables of a program reuse its
+  exploration.
 
 Per-client budgets: ``max_jobs`` caps a client's concurrently *running*
 jobs (excess jobs wait in a FIFO the completion path drains);
@@ -40,14 +41,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..engine.artifacts import result_from_obj, result_to_obj
 from ..engine.events import EventLog
-from ..engine.planner import (
-    Job,
-    _verdict_of,
-    options_fingerprint,
-)
-from ..engine.scheduler import _job_payload, _run_job_payload
+from ..engine.planner import Job, JobResult, options_fingerprint
+from ..engine.scheduler import execute
 from ..races.report import REPORT_SCHEMA, ReportRow
 from ..smt.qcache import LruCache
 from .protocol import ErrorCode, error_frame, exit_code_for
@@ -235,13 +231,13 @@ class JobManager:
         fp = options_fingerprint(job.options)
         key = (job.digest, fp)
 
-        record = self.completed.get(key)
-        if record is not None:
+        answer = self.completed.get(key)
+        if answer is not None:
             self.counters["dedup_completed"] += len(job.aliases)
             for model, variable in job.aliases:
                 tracker.add_row(
                     (model, variable),
-                    self._row(model, variable, record, source="cache"),
+                    _row(model, variable, answer, source="cache"),
                 )
             return "completed"
 
@@ -311,75 +307,22 @@ class JobManager:
 
     # -- execution (worker thread) -------------------------------------------
 
-    def _execute(self, serve_job: ServeJob) -> dict:
+    def _execute(self, serve_job: ServeJob) -> JobResult:
         job = serve_job.job
         serve_job.state = "running"
-        fp = serve_job.key[1]
-        cache = self.hot.cache
+        ctx = self.hot.context_for(job.source, job.thread)
+        job.cfa, job.store = ctx.cfa, ctx.store
         job_events = EventLog(
             listener=lambda ev: self.loop.call_soon_threadsafe(
                 self._fan_event, serve_job, ev
             )
         )
-
-        if cache is not None:
-            entry = cache.get(job.digest, fp)
-            if entry is not None:
-                job_events.emit(
-                    "cache_hit",
-                    job_id=job.job_id,
-                    digest=job.digest[:12],
-                    verdict=_verdict_of(entry.result),
-                )
-                return {
-                    "result": result_to_obj(entry.result),
-                    "elapsed_ms": 0.0,
-                    "source": "cache",
-                }
-            job_events.emit(
-                "cache_miss", job_id=job.job_id, digest=job.digest[:12]
-            )
-
-        seeds: tuple = ()
-        if cache is not None:
-            seeds = cache.seed_predicates(job.shape, fp)
-            if seeds:
-                job_events.emit(
-                    "warm_start",
-                    job_id=job.job_id,
-                    n_predicates=len(seeds),
-                )
-        payload = _job_payload(job, seeds)
-        ctx = self.hot.context_for(job.source, job.thread)
-        job_events.emit(
-            "job_started", job_id=job.job_id, mode="serve"
-        )
         with ctx.lock:
-            record = _run_job_payload(
-                payload,
-                cfa=ctx.cfa,
-                store=ctx.store,
-                cache=cache,
-                book=self.hot.book,
-                events=job_events,
+            results = execute(
+                [job], cache=self.hot.cache, events=job_events, workers=1
             )
-        result = result_from_obj(record["result"])
-        if cache is not None:
-            cache.put(job.digest, result, fp, shape=job.shape)
-        reuse = result.stats.reuse or {}
-        job_events.emit(
-            "job_finished",
-            job_id=job.job_id,
-            verdict=_verdict_of(result),
-            warm=bool(record.get("warm")),
-            elapsed_ms=round(record["elapsed_ms"], 3),
-            reuse_hits=sum(
-                v for k, v in reuse.items() if k.endswith("_hits")
-            ),
-            store_digest=result.stats.store_digest or "",
-        )
         self.hot.enforce_ceiling()
-        return record
+        return results[job.aliases[0]]
 
     # -- completion (event-loop thread) --------------------------------------
 
@@ -400,35 +343,31 @@ class JobManager:
             return
         exc = future.exception()
         if exc is not None:
-            # _run_job_payload never raises; anything here is a manager
-            # bug -- surface it to subscribers rather than hanging them.
+            # A job's verifier errors become UNKNOWN rows inside the
+            # scheduler; anything here is a manager bug -- surface it to
+            # subscribers rather than hanging them.
             for tracker, _m, _v in _distinct_trackers(serve_job):
                 tracker.fail(
                     ErrorCode.INTERNAL, f"job failed: {exc}"
                 )
             return
-        record = future.result()
+        answer = future.result()
 
-        elapsed_s = record["elapsed_ms"] / 1000.0
         for tracker_budget in _distinct_budgets(serve_job):
-            tracker_budget.charge(elapsed_s)
+            tracker_budget.charge(answer.time_ms / 1000.0)
 
-        result = result_from_obj(record["result"])
-        if not getattr(result, "unknown", False):
-            self.completed.put(serve_job.key, record)
+        if answer.verdict != "unknown":
+            self.completed.put(serve_job.key, answer)
         self.counters["jobs_run"] += 1
         self.events.emit(
             "serve_job_finished",
             digest=serve_job.digest[:12],
-            verdict=_verdict_of(result),
-            elapsed_ms=round(record["elapsed_ms"], 3),
+            verdict=answer.verdict,
+            elapsed_ms=round(answer.time_ms, 3),
             subscribers=len(serve_job.subscribers),
         )
         for tracker, model, variable in serve_job.subscribers:
-            tracker.add_row(
-                (model, variable),
-                self._row(model, variable, record),
-            )
+            tracker.add_row((model, variable), _row(model, variable, answer))
 
     def _kick(self, budget: ClientBudget) -> None:
         if self.draining:
@@ -437,33 +376,6 @@ class JobManager:
             nxt = budget.waiting.popleft()
             if nxt.state == "held":
                 self._start(nxt)
-
-    @staticmethod
-    def _row(
-        model: str,
-        variable: str,
-        record: dict,
-        source: str | None = None,
-    ) -> dict:
-        """One report-v1 row from a job record (mirrors the scheduler's
-        ``_finish``/``_fan_out`` source attribution)."""
-        result = result_from_obj(record["result"])
-        if source is None:
-            if "portfolio_winner" in record:
-                source = f"portfolio:{record['portfolio_winner'] or 'none'}"
-            elif record.get("source"):
-                source = record["source"]
-            else:
-                source = "circ-warm" if record.get("warm") else "circ"
-        time_ms = record["elapsed_ms"] if source != "cache" else 0.0
-        return ReportRow(
-            model=model,
-            variable=variable,
-            verdict=_verdict_of(result),
-            source=source,
-            time_ms=time_ms,
-            detail=getattr(result, "reason", "") or "",
-        ).to_obj()
 
     # -- drain ----------------------------------------------------------------
 
@@ -503,6 +415,23 @@ class JobManager:
             "in_flight": len(self.jobs),
             "completed_cached": len(self.completed),
         }
+
+
+def _row(
+    model: str, variable: str, answer: JobResult, source: str | None = None
+) -> dict:
+    """The report-v1 row of ``(model, variable)`` from a job's answer.
+
+    ``source="cache"`` marks a completed-map hit, which took no time.
+    """
+    return ReportRow(
+        model=model,
+        variable=variable,
+        verdict=answer.verdict,
+        source=source or answer.source,
+        time_ms=0.0 if source == "cache" else answer.time_ms,
+        detail=answer.detail,
+    ).to_obj()
 
 
 def _distinct_trackers(serve_job: ServeJob):

@@ -18,8 +18,8 @@ CLI's cold-start problem again.
 Graceful drain: on SIGTERM/SIGINT the server stops accepting work (new
 submissions are answered ``RETRYABLE``), queued jobs fail
 ``RETRYABLE``, in-flight jobs run to completion and their results are
-delivered, then the persistent tiers (qcache warm tier, win-rate book)
-are flushed and the sockets close.
+delivered, then the qcache warm tier is flushed and the sockets close
+(each portfolio job has already saved the win-rate book).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Any
 
 from ..engine.events import EventLog
 from ..engine.planner import BatchItem, plan
-from .jobs import ClientBudget, JobManager, RequestTracker
+from .jobs import ClientBudget, JobManager, RequestTracker, _row
 from .protocol import (
     PROTOCOL,
     ErrorCode,
@@ -426,14 +426,7 @@ class RaceServer:
         for done in the_plan.done:
             tracker.add_row(
                 (done.model, done.variable),
-                {
-                    "model": done.model,
-                    "variable": done.variable,
-                    "verdict": done.verdict,
-                    "source": done.source,
-                    "time_ms": round(done.time_ms, 3),
-                    "detail": done.detail,
-                },
+                _row(done.model, done.variable, done),
             )
         for job in the_plan.jobs:
             self.manager.submit_planned_job(job, tracker, client.budget)

@@ -5,18 +5,18 @@ preserve across requests:
 
 * **Hot contexts** -- the lowered :class:`~repro.cfa.cfa.CFA` plus its
   persistent :class:`~repro.reach.store.ArgStore`, keyed by the SHA-256
-  of ``(source, thread)``.  The store memoizes abstract posts, omega
-  checks, and whole reachability results, so re-verifying a previously
-  seen program costs hash lookups instead of SMT
-  (BENCH_incremental.json: 79x over the cold pass).  The store resets
-  when bound to a *different CFA object*, which is exactly why the CFA
-  is cached alongside it.
+  of ``(source, thread)``.  Each job rides into the scheduler carrying
+  its program's context (:attr:`~repro.engine.planner.Job.cfa` and
+  :attr:`~repro.engine.planner.Job.store`).  The store memoizes abstract
+  posts, omega checks, and whole reachability results, so the later
+  variables and options of a program already seen reuse the earlier
+  jobs' exploration.  The store resets when bound to a *different CFA
+  object*, which is exactly why the CFA is cached alongside it.
+* **The artifact cache** every job is looked up in and published to.
 * **The SMT query cache** (:data:`repro.smt.qcache.SAT_CACHE`): loaded
   from the artifact root's warm tier at startup and spilled back
   incrementally (every ``qcache_flush_every`` stores and on drain), so
   a crashed daemon loses at most one flush window.
-* **The win-rate book** for portfolio scheduling, saved with the
-  locked read-merge-write discipline.
 
 Contexts are evicted least-recently-used under a configurable memory
 ceiling.  Sizes are *estimated* -- walking real object graphs per job
@@ -38,7 +38,6 @@ from ..cfa.cfa import CFA
 from ..engine.cache import ArtifactCache
 from ..engine.events import EventLog
 from ..lang.lower import lower_source
-from ..portfolio.winrate import WinRateBook
 from ..reach.store import ArgStore
 from ..smt.qcache import SAT_CACHE
 
@@ -80,11 +79,6 @@ class HotState:
     ):
         self.cache = (
             ArtifactCache(cache_dir) if cache_dir is not None else None
-        )
-        self.book = (
-            WinRateBook(self.cache.root / "winrates.json")
-            if self.cache is not None
-            else None
         )
         self.events = events or EventLog()
         self.memory_bytes = int(memory_mb * 1024 * 1024)
@@ -184,8 +178,6 @@ class HotState:
             saved = SAT_CACHE.flush()
             if saved:
                 self.events.emit("smt_tier_saved", entries=saved)
-        if self.book is not None:
-            self.book.save()
 
     def stats(self) -> dict:
         with self._mutex:

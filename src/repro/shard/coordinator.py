@@ -117,7 +117,6 @@ def execute_sharded(
     workers: int,
     cache: ArtifactCache | None = None,
     events: EventLog | None = None,
-    _test_kill_first_attempt: bool = False,
 ) -> dict[tuple[str, str], JobResult]:
     """Run cache-missed ``jobs`` on ``workers`` worker processes.
 
@@ -140,7 +139,6 @@ def execute_sharded(
     )
 
     retries: dict[int, int] = {}
-    killed: set[int] = set()
     exhausted: list[Job] = []
     cache_root = str(cache.root) if cache is not None else None
 
@@ -149,10 +147,7 @@ def execute_sharded(
         # from predicates published by jobs that finished *during* this
         # run -- on any worker, through the shared shape index.
         seeds = _warm_seeds(job, cache, events)
-        kill = _test_kill_first_attempt and job.job_id not in killed
-        if kill:
-            killed.add(job.job_id)
-        return _job_payload(job, seeds, kill, cache_root=cache_root)
+        return _job_payload(job, seeds, cache_root=cache_root)
 
     def start(slot: Worker) -> bool:
         try:

@@ -1,8 +1,10 @@
 """Tests for asymmetric thread sets (circ_multi)."""
 
+import importlib
+
 import pytest
 
-from repro.circ import MultiSafe, MultiUnsafe, circ_multi
+from repro.circ import CircUnknown, MultiSafe, MultiUnsafe, circ_multi
 from repro.exec import MultiProgram, explore
 from repro.lang import lower_program, lower_source
 
@@ -121,3 +123,17 @@ def test_agrees_with_bounded_oracle():
     # is only a smoke check, the real guarantee is CIRC's.
     result = explore(mp, race_on="buf", max_states=30_000)
     assert not result.found
+
+
+def test_state_budget_returns_unknown():
+    r = circ_multi(lower_program(HANDOFF), race_on="buf", max_states=3)
+    assert isinstance(r, CircUnknown)
+    assert r.reason == "more than 3 abstract states"
+
+
+def test_stalled_refinement_returns_unknown(monkeypatch):
+    multi = importlib.import_module("repro.circ.multi")
+    monkeypatch.setattr(multi, "_useful_predicates", lambda mined, preds: [])
+    r = circ_multi(lower_program(HANDOFF), race_on="buf")
+    assert isinstance(r, CircUnknown)
+    assert r.reason == "multi-template refinement found no new predicates"

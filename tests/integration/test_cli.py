@@ -101,6 +101,19 @@ def test_check_requires_var(fig1_file, capsys):
     assert main(["check", fig1_file]) == 2
 
 
+def test_check_parallel_requires_portfolio(racy_file, capsys):
+    assert main(["check", racy_file, "--var", "x", "--parallel"]) == 2
+    assert "--parallel requires --portfolio" in capsys.readouterr().err
+
+
+def test_check_report_rejects_portfolio(racy_file, tmp_path, capsys):
+    report = str(tmp_path / "r.md")
+    argv = ["check", racy_file, "--var", "x", "--report", report]
+    assert main(argv + ["--portfolio", "--parallel"]) == 2
+    assert "--report does not combine with --portfolio" in capsys.readouterr().err
+    assert not (tmp_path / "r.md").exists()
+
+
 def test_explore_finds_race(racy_file, capsys):
     assert main(["explore", racy_file, "--var", "x", "--threads", "2"]) == 1
     assert "FOUND race" in capsys.readouterr().out

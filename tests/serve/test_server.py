@@ -5,11 +5,12 @@ its clients inside one ``asyncio.run`` via :func:`with_server`.
 """
 
 import asyncio
+import importlib
 
 import pytest
 
 from repro.engine import BatchItem, run_batch
-from repro.nesc.programs import TEST_AND_SET_SOURCE
+from repro.nesc.programs import BENCHMARKS, TEST_AND_SET_SOURCE
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import ErrorCode
 from repro.serve.server import RaceServer, ServeConfig
@@ -38,7 +39,7 @@ def with_server(tmp_path, client_fn, **cfg):
         sock = str(tmp_path / "serve.sock")
         config = ServeConfig(
             socket=sock,
-            cache_dir=str(tmp_path / "cache"),
+            cache_dir=cfg.pop("cache_dir", str(tmp_path / "cache")),
             workers=cfg.pop("workers", 2),
             **cfg,
         )
@@ -71,34 +72,119 @@ def test_verdicts_and_exit_codes(tmp_path):
 
 def test_verdict_parity_with_engine(tmp_path):
     """The daemon answers exactly what ``run_batch`` (the ``batch``
-    subcommand's engine) answers for the same items."""
+    subcommand's engine) answers for the same items, in ``batch`` and
+    ``portfolio`` modes: every row's verdict, source and detail."""
+    table1 = next(b for b in BENCHMARKS if b.key == "secureTosBase/gTxState")
     items = [
         BatchItem(model="fig1", source=TEST_AND_SET_SOURCE, variables=("x",)),
         BatchItem(model="racy", source=RACY),
-        BatchItem(model="belt", source=BELT),
+        BatchItem(model="belt", source=BELT),  # x is a static row
+        BatchItem(
+            model=table1.key,
+            source=table1.app.thread_source(),
+            variables=(table1.variable,),
+        ),
     ]
-    direct = run_batch(items, cache_dir=None, workers=1)
+    modes = {"batch": {}, "portfolio": {"portfolio": True}}
     expected = {
-        (r.model, r.variable): r.verdict for r in direct.rows
+        mode: [
+            (r.model, r.variable, r.verdict, r.source, r.detail)
+            for r in run_batch(items, cache_dir=None, workers=1, **options).rows
+        ]
+        for mode, options in modes.items()
     }
+    assert ("belt", "x", "safe", "static") == expected["batch"][3][:4]
+    submission = [
+        {
+            "model": i.model,
+            "source": i.source,
+            "variables": list(i.variables) if i.variables else None,
+        }
+        for i in items
+    ]
 
     async def scenario(server, sock):
         async with await ServeClient.connect(socket=sock) as c:
-            return await c.submit(
-                [
-                    {
-                        "model": i.model,
-                        "source": i.source,
-                        "variables": list(i.variables) if i.variables else None,
-                    }
-                    for i in items
-                ],
-                mode="batch",
-            )
+            return {
+                mode: await c.submit(submission, mode=mode) for mode in modes
+            }
 
-    result = with_server(tmp_path, scenario)
-    got = {(r["model"], r["variable"]): r["verdict"] for r in result["rows"]}
-    assert got == expected
+    results = with_server(tmp_path, scenario, cache_dir=None, workers=1)
+    for mode, result in results.items():
+        got = [
+            (r["model"], r["variable"], r["verdict"], r["source"], r["detail"])
+            for r in result["rows"]
+        ]
+        assert got == expected[mode], mode
+
+
+def test_portfolio_submission_streams_portfolio_events(tmp_path):
+    async def scenario(server, sock):
+        frames = []
+        async with await ServeClient.connect(socket=sock) as c:
+            await c.submit(
+                [{"model": "racy", "source": RACY}],
+                mode="portfolio",
+                stream=True,
+                on_event=frames.append,
+            )
+        return [f["event"]["event"] for f in frames]
+
+    kinds = with_server(tmp_path, scenario)
+    assert "portfolio_verdict" in kinds
+
+
+def test_jobs_of_one_program_share_its_hot_store(tmp_path, monkeypatch):
+    """Figure 1's two must-check variables are two jobs; both run on
+    the program's one hot ArgStore."""
+    scheduler = importlib.import_module("repro.engine.scheduler")
+    circ = scheduler.circ
+    stores = []
+
+    def spy(cfa, race_on, **options):
+        stores.append(options.get("store"))
+        return circ(cfa, race_on=race_on, **options)
+
+    monkeypatch.setattr(scheduler, "circ", spy)
+
+    async def scenario(server, sock):
+        async with await ServeClient.connect(socket=sock) as c:
+            result = await c.submit(
+                [{"model": "fig1", "source": TEST_AND_SET_SOURCE}]
+            )
+            stats = await c.stats()
+        hot = server.hot.context_for(TEST_AND_SET_SOURCE, None)
+        return result, stats, hot.store
+
+    result, stats, hot_store = with_server(tmp_path, scenario)
+    assert [(r["variable"], r["verdict"]) for r in result["rows"]] == [
+        ("state", "safe"),
+        ("x", "safe"),
+    ]
+    assert len(stores) == 2
+    assert all(store is hot_store for store in stores)
+    assert stats["hot"]["context_hits"] >= 1
+
+
+def test_second_daemon_answers_repeat_from_artifact_cache(tmp_path):
+    """A fresh daemon on an existing cache directory answers a repeat
+    from the artifact cache: its completed-job map is empty."""
+    cache_dir = str(tmp_path / "shared-cache")
+
+    async def scenario(server, sock):
+        async with await ServeClient.connect(socket=sock) as c:
+            result = await c.submit([{"model": "m", "source": RACY}])
+            return result["rows"][0], await c.stats()
+
+    runs = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        runs.append(with_server(tmp_path / name, scenario, cache_dir=cache_dir))
+    (first, _), (second, stats) = runs
+    assert first["source"] == "circ" and first["verdict"] == "race"
+    assert second["source"] == "cache" and second["verdict"] == "race"
+    assert second["time_ms"] == 0.0
+    assert stats["jobs_run"] == 1 and stats["dedup_completed"] == 0
 
 
 def test_concurrent_identical_submissions_share_one_job(tmp_path):

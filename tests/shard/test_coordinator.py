@@ -4,6 +4,7 @@ from repro.engine import EventLog, run_batch
 from repro.engine.cache import ArtifactCache
 from repro.engine.planner import options_fingerprint
 from repro.shard.coordinator import _Buckets
+from repro.shard.worker import Worker
 from tests.engine.test_engine import ITEMS, expected_verdicts
 from tests.shard.test_partition import make_jobs
 
@@ -126,18 +127,36 @@ def digest_verdicts(report, cache_dir):
     return out
 
 
-def test_killed_workers_leave_no_trace(tmp_path):
+def kill_first_attempts(monkeypatch):
+    """Make each job's first attempt kill the worker it is sent to."""
+    send = Worker.send
+    attempted: set[int] = set()
+
+    def send_and_kill(self, frame):
+        if frame.get("op") == "job":
+            job_id = frame["payload"]["job_id"]
+            if job_id not in attempted:
+                attempted.add(job_id)
+                payload = {**frame["payload"], "_test_kill_worker": True}
+                frame = {**frame, "payload": payload}
+        send(self, frame)
+
+    monkeypatch.setattr(Worker, "send", send_and_kill)
+
+
+def test_killed_workers_leave_no_trace(tmp_path, monkeypatch):
     """Kill every worker once mid-bucket: the merged verdicts AND the
     artifact-cache state must match an uninterrupted run, with no
     quarantined (torn) entries anywhere."""
     events = EventLog()
-    killed = run_batch(
-        ITEMS,
-        cache_dir=str(tmp_path / "killed"),
-        workers=2,
-        events=events,
-        _test_kill_first_attempt=True,
-    )
+    with monkeypatch.context() as m:
+        kill_first_attempts(m)
+        killed = run_batch(
+            ITEMS,
+            cache_dir=str(tmp_path / "killed"),
+            workers=2,
+            events=events,
+        )
     clean = run_batch(
         ITEMS, cache_dir=str(tmp_path / "clean"), workers=2
     )
@@ -164,13 +183,10 @@ def test_exhausted_retries_fall_back_to_serial(tmp_path, monkeypatch):
     import repro.shard.coordinator as coord
 
     monkeypatch.setattr(coord, "MAX_JOB_RETRIES", 0)
+    kill_first_attempts(monkeypatch)
     events = EventLog()
     report = run_batch(
-        ITEMS,
-        cache_dir=str(tmp_path),
-        workers=2,
-        events=events,
-        _test_kill_first_attempt=True,
+        ITEMS, cache_dir=str(tmp_path), workers=2, events=events
     )
     got = {(r.model, r.variable): r.verdict for r in report.rows}
     assert got == expected_verdicts()
