@@ -17,16 +17,28 @@ This module serves three roles in the reproduction:
 :func:`breadth_first_search` is the one explicit-state search loop:
 :func:`explore` runs it to the first bad state, and the portfolio racer's
 phase 2 runs it until every watched location pair has a witness.
+
+Two evaluators share these semantics.  :meth:`MultiProgram.successors`,
+which every search and :func:`~repro.exec.simulate.simulate` draw from,
+fires *compiled successor tables*: the first visit of a location compiles
+its out-edges into closures over fixed variable slots
+(:mod:`repro.exec.kernel`), so no term is interpreted and no environment
+dict is built per successor.  :meth:`MultiProgram.step` interprets one edge
+through :func:`~repro.smt.terms.evaluate`; it is the reference evaluator
+:func:`replay` uses, so every witness a search finds is checked by code
+independent of the tables that found it.  A program that is only replayed
+compiles nothing.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..cfa.cfa import CFA, AssignOp, AssumeOp, Edge
 from ..smt.terms import evaluate
+from .kernel import Fire, compile_edge
 
 __all__ = [
     "ConcreteState",
@@ -40,9 +52,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConcreteState:
-    """An immutable, hashable concrete program state."""
+class ConcreteState(NamedTuple):
+    """An immutable, hashable concrete program state.
+
+    The globals and each thread's locals are ``(name, value)`` pairs
+    sorted by name.  Equality and hashing are the tuple's, over the two
+    fields.
+    """
 
     globals: tuple[tuple[str, int], ...]
     threads: tuple[tuple[int, tuple[tuple[str, int], ...]], ...]
@@ -75,24 +91,29 @@ class MultiProgram:
     """A multithreaded program: one CFA per thread (paper's C^n when all
     entries are the same CFA)."""
 
-    def __init__(self, cfas: Sequence[CFA], init: Mapping[str, int] | None = None):
+    def __init__(self, cfas: Sequence[CFA]):
         if not cfas:
             raise ValueError("need at least one thread")
         self.cfas = tuple(cfas)
-        g0 = dict(cfas[0].global_init)
         for c in cfas[1:]:
             if c.globals != cfas[0].globals:
                 raise ValueError("threads disagree on the global variables")
-        if init:
-            g0.update(init)
-        self._init_globals = g0
+        self._init_globals = dict(cfas[0].global_init)
+        self._global_names = tuple(sorted(self._init_globals))
+        self._atomic = tuple(cfa.atomic for cfa in self.cfas)
+        #: Per thread, location -> its compiled out-edges, filled in on the
+        #: location's first visit; threads running one CFA share one table.
+        shared: dict[int, dict[int, tuple[tuple[Edge, Fire], ...]]] = {}
+        self._tables = [shared.setdefault(id(cfa), {}) for cfa in self.cfas]
+        #: Race variable -> per thread (atomic, writing, accessing) locations.
+        self._race_sets: dict[
+            str, tuple[tuple[frozenset, frozenset, frozenset], ...]
+        ] = {}
 
     @classmethod
-    def symmetric(
-        cls, cfa: CFA, n: int, init: Mapping[str, int] | None = None
-    ) -> "MultiProgram":
+    def symmetric(cls, cfa: CFA, n: int) -> "MultiProgram":
         """``n`` copies of the same thread (the paper's C^infinity, truncated)."""
-        return cls([cfa] * n, init)
+        return cls([cfa] * n)
 
     @property
     def n_threads(self) -> int:
@@ -130,9 +151,15 @@ class MultiProgram:
     def step(
         self, state: ConcreteState, thread: int, edge: Edge
     ) -> Optional[ConcreteState]:
-        """Execute ``edge`` for ``thread``; None when not enabled."""
+        """Execute ``edge`` for ``thread``; None when not enabled.
+
+        The reference semantics: ``edge`` must be an out-edge of the
+        thread's location in its own CFA (compared by value, so an edge
+        rebuilt from a serialized witness still matches), and its terms
+        are interpreted by :func:`~repro.smt.terms.evaluate`.
+        """
         pc, _ = state.threads[thread]
-        if edge.src != pc:
+        if edge not in self.cfas[thread].out(pc):
             return None
         env = state.full_env(thread)
         op = edge.op
@@ -163,33 +190,70 @@ class MultiProgram:
     def successors(
         self, state: ConcreteState
     ) -> Iterator[tuple[int, Edge, ConcreteState]]:
-        for i in self.schedulable(state):
-            pc = state.thread_pc(i)
-            for edge in self.cfas[i].out(pc):
-                nxt = self.step(state, i, edge)
-                if nxt is not None:
-                    yield i, edge, nxt
+        """Every ``(thread, edge, state')`` one step away, by the compiled
+        tables: threads in index order (only the atomic one, if a thread
+        sits at an atomic location), each thread's edges in
+        ``cfa.out(pc)`` order -- the order :meth:`step` would give."""
+        tables = self._tables
+        g, threads = state
+        order: Iterable[int] = range(len(threads))
+        for i, atomic in enumerate(self._atomic):
+            if threads[i][0] in atomic:
+                order = (i,)
+                break
+        for i in order:
+            pc, loc = threads[i]
+            edges = tables[i].get(pc)
+            if edges is None:
+                edges = self._compile_location(tables[i], self.cfas[i], pc)
+            for edge, fire in edges:
+                hit = fire(g, loc)
+                if hit is not None:
+                    yield i, edge, ConcreteState(
+                        hit[0], threads[:i] + (hit[1],) + threads[i + 1 :]
+                    )
+
+    def _compile_location(
+        self, table: dict, cfa: CFA, pc: int
+    ) -> tuple[tuple[Edge, Fire], ...]:
+        """Compile the out-edges of ``pc`` over the initial state's slot
+        layout (globals, then ``cfa``'s locals, each sorted by name)."""
+        local_names = tuple(sorted(cfa.locals))
+        edges = tuple(
+            (e, compile_edge(e, self._global_names, local_names))
+            for e in cfa.out(pc)
+        )
+        table[pc] = edges
+        return edges
 
     # -- race and error predicates (Section 4.1) -----------------------------------
 
     def is_race_state(self, state: ConcreteState, x: str) -> bool:
         """Two distinct threads have enabled accesses to ``x``, one a write,
         and no thread holds an atomic location."""
-        if self.atomic_thread(state) is not None:
-            return False
-        writers = []
-        accessors = []
+        sets = self._race_sets.get(x)
+        if sets is None:
+            sets = self._race_sets[x] = tuple(
+                (
+                    cfa.atomic,
+                    frozenset(q for q in cfa.locations if cfa.may_write(q, x)),
+                    frozenset(q for q in cfa.locations if cfa.may_access(q, x)),
+                )
+                for cfa in self.cfas
+            )
+        # Every write is an access, so a writer plus a second accessor
+        # is a writer and an accessor in distinct threads.
+        writer = False
+        accessors = 0
         for i, (pc, _) in enumerate(state.threads):
-            cfa = self.cfas[i]
-            if cfa.may_write(pc, x):
-                writers.append(i)
-            if cfa.may_access(pc, x):
-                accessors.append(i)
-        for w in writers:
-            for a in accessors:
-                if a != w:
-                    return True
-        return False
+            atomic, writing, accessing = sets[i]
+            if pc in atomic:
+                return False
+            if pc in accessing:
+                accessors += 1
+                if pc in writing:
+                    writer = True
+        return writer and accessors >= 2
 
     def is_error_state(self, state: ConcreteState) -> bool:
         """Some thread reached an assertion-failure location."""

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.circ import circ
 from repro.circ.result import CircSafe, CircStats, CircUnsafe
 from repro.acfa.acfa import empty_acfa
 from repro.engine.artifacts import (
@@ -11,6 +12,9 @@ from repro.engine.artifacts import (
     term_to_obj,
 )
 from repro.engine.cache import ArtifactCache
+from repro.exec import MultiProgram, replay
+from repro.lang import lower_source
+from repro.portfolio import racer_check
 from repro.smt import terms as T
 
 
@@ -121,3 +125,25 @@ def test_result_serialization_round_trips():
     r = safe_result(preds=(PRED,))
     back = result_from_obj(result_to_obj(r))
     assert back.safe and back.predicates == (PRED,)
+
+
+def test_witnesses_replay_after_a_round_trip():
+    # Replay accepts only the thread's own CFA edges, compared by value:
+    # the edges a stored witness is rebuilt from must still match.
+    cfa = lower_source("global int f, x; thread t { f = 1; x = x + 1; }")
+    found = circ(cfa, race_on="x")
+    racer = racer_check(cfa, "x")
+    witnessed = CircUnsafe(
+        variable="x",
+        steps=list(racer.witness),
+        n_threads=racer.n_threads,
+        predicates=(),
+        stats=CircStats(),
+    )
+    for result in (found, witnessed):
+        assert isinstance(result, CircUnsafe) and result.steps
+        back = result_from_obj(json.loads(json.dumps(result_to_obj(result))))
+        assert back.steps == result.steps
+        assert all(a is not b for (_, a), (_, b) in zip(back.steps, result.steps))
+        program = MultiProgram.symmetric(cfa, back.n_threads)
+        assert replay(program, back.steps, race_on="x")[0]

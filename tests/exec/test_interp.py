@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.cfa.cfa import AssignOp, Edge
 from repro.exec import MultiProgram, explore, replay
 from repro.exec.interp import breadth_first_search
 from repro.lang import lower_source
+from repro.smt.terms import IntConst
 
 FIG1 = """
 global int x, state;
@@ -165,6 +167,24 @@ def test_replay_rejects_bogus_traces():
     edge = cfa.out(cfa.q0)[0]
     ok, _ = replay(p, [(0, edge)])
     assert not ok
+
+
+def forged_race(cfa, variable):
+    """Two steps of a made-up edge ``variable := 0`` from the start location
+    to a location that writes ``variable``: not an edge of ``cfa``."""
+    writes = next(q for q in sorted(cfa.locations) if cfa.may_write(q, variable))
+    forged = Edge(cfa.q0, AssignOp(variable, IntConst(0)), writes)
+    assert forged not in cfa.edges
+    return [(0, forged), (1, forged)]
+
+
+def test_replay_rejects_an_edge_outside_the_thread_cfa():
+    # Figure 1 is race-free, but the forged steps would park both threads
+    # at the increment of x.
+    cfa = lower_source(FIG1)
+    p = MultiProgram.symmetric(cfa, 2)
+    ok, states = replay(p, forged_race(cfa, "x"), race_on="x")
+    assert not ok and states == [p.initial()]
 
 
 def test_budget_exhaustion_reports_incomplete():

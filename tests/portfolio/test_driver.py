@@ -14,10 +14,12 @@ from repro.portfolio.driver import (
     AnalysisOutcome,
     PortfolioConflict,
     _reconcile,
+    _validate_witness,
     run_portfolio,
 )
 from repro.portfolio.winrate import WinRateBook
 from repro.shard.worker import Worker
+from tests.exec.test_interp import forged_race
 
 FIG1 = """
 global int x, state;
@@ -149,6 +151,19 @@ def test_conflicting_confident_verdicts_are_a_hard_error():
     race = AnalysisOutcome(analysis="circ", verdict="race", time_ms=1.0)
     with pytest.raises(PortfolioConflict):
         _reconcile("x", [safe, race])
+
+
+def test_witness_that_leaves_the_cfa_is_a_conflict():
+    cfa = lower_source(FIG1)
+    forged = AnalysisOutcome(
+        analysis="racer",
+        verdict="race",
+        time_ms=1.0,
+        n_threads=2,
+        witness=tuple(forged_race(cfa, "x")),
+    )
+    with pytest.raises(PortfolioConflict, match="does not replay"):
+        _validate_witness(cfa, "x", forged)
 
 
 def test_unknown_never_conflicts():
