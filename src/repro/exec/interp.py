@@ -16,7 +16,9 @@ This module serves three roles in the reproduction:
 
 :func:`breadth_first_search` is the one explicit-state search loop:
 :func:`explore` runs it to the first bad state, and the portfolio racer's
-phase 2 runs it until every watched location pair has a witness.
+phase 2 runs it until every watched location pair has a witness, in
+later thread-count rounds only to a ``max_depth`` one step short of the
+shortest witness in hand.
 
 Two evaluators share these semantics.  :meth:`MultiProgram.successors`,
 which every search and :func:`~repro.exec.simulate.simulate` draw from,
@@ -313,7 +315,9 @@ class Search:
     that first reached it (``None`` for the initial state).  ``ended`` says
     why the search ended: ``"stopped"`` (the stop test held at ``goal``),
     ``"exhausted"`` (no undiscovered state is left), ``"budget"``
-    (``max_states`` states discovered), ``"deadline"`` or ``"cancelled"``.
+    (``max_states`` states discovered), ``"depth"`` (every state within
+    ``max_depth`` steps discovered, the deepest ones not expanded),
+    ``"deadline"`` or ``"cancelled"``.
     """
 
     parent: dict[ConcreteState, tuple[ConcreteState, int, Edge] | None]
@@ -342,6 +346,7 @@ def breadth_first_search(
     max_states: int,
     deadline: float | None = None,
     should_stop: Optional[Callable[[], bool]] = None,
+    max_depth: int | None = None,
 ) -> Search:
     """Breadth-first search of the reachable states until ``stop`` holds.
 
@@ -349,9 +354,14 @@ def breadth_first_search(
     first), and ends the search by returning True.  The search also ends
     after ``max_states`` discovered states, once the optional ``deadline``
     (an absolute :func:`time.perf_counter` instant, checked per expanded
-    state) has passed, or when ``should_stop`` (polled once per BFS level)
-    returns True.
+    state) has passed, when ``should_stop`` (polled once per BFS level)
+    returns True, or, given ``max_depth``, instead of expanding the states
+    that many steps from the initial state.  The search is level by level,
+    so a bounded search is a prefix of the unbounded one: the same states
+    in the same order with the same parents, cut after depth ``max_depth``.
     """
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, not {max_depth}")
     init = program.initial()
     parent: dict[ConcreteState, tuple[ConcreteState, int, Edge] | None] = {
         init: None
@@ -360,9 +370,13 @@ def breadth_first_search(
         return Search(parent, 1, "stopped", init)
     frontier = [init]
     visited = 1
+    depth = 0  # of the states in ``frontier``
     while frontier:
         if should_stop is not None and should_stop():
             return Search(parent, visited, "cancelled")
+        if depth == max_depth:
+            return Search(parent, visited, "depth")
+        depth += 1
         next_frontier: list[ConcreteState] = []
         for state in frontier:
             if deadline is not None and time.perf_counter() > deadline:

@@ -5,6 +5,7 @@ import pytest
 from repro.cfa.cfa import AssignOp, Edge
 from repro.exec import MultiProgram, explore, replay
 from repro.exec.interp import breadth_first_search
+from repro.fuzz.gen import GenConfig, generate
 from repro.lang import lower_source
 from repro.smt.terms import IntConst
 
@@ -247,3 +248,40 @@ def test_search_reports_how_it_ended():
         100_000,
     )
     assert done.ended == "exhausted" and done.visited == len(done.parent)
+
+
+def _depths(search):
+    """State -> steps from the initial state, in discovery order."""
+    depth = {}
+    for state, via in search.parent.items():
+        depth[state] = 0 if via is None else depth[via[0]] + 1
+    return depth
+
+
+@pytest.mark.parametrize("query", ["fig1", "fuzz7"])
+def test_depth_bound_cuts_the_unbounded_search(query):
+    if query == "fig1":
+        program = MultiProgram.symmetric(lower_source(FIG1), 2)
+    else:
+        gp = generate(7, GenConfig(pointers=False))
+        program = MultiProgram.symmetric(lower_source(gp.source, gp.thread), 3)
+    full = breadth_first_search(program, lambda s: False, 5_000)
+    depth = _depths(full)
+    assert full.ended == "budget" and max(depth.values()) > 4
+    for max_depth in range(4):
+        fired = []
+
+        def one_too_deep(state, max_depth=max_depth):
+            fired.append(depth[state] == max_depth + 1)
+            return fired[-1]
+
+        cut = breadth_first_search(
+            program, one_too_deep, 5_000, max_depth=max_depth
+        )
+        assert cut.ended == "depth" and not any(fired)
+        assert list(cut.parent.items()) == [
+            item for item in full.parent.items() if depth[item[0]] <= max_depth
+        ]
+        assert cut.visited == len(cut.parent)
+    with pytest.raises(ValueError, match="max_depth"):
+        breadth_first_search(program, lambda s: False, 10, max_depth=-1)
