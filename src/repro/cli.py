@@ -992,7 +992,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--var", help="race variable")
     p.add_argument("--errors", action="store_true", help="check assertions instead")
     p.add_argument("--threads", type=int, default=2)
-    p.add_argument("--max-states", type=int, default=200_000)
+    p.add_argument(
+        "--max-states",
+        type=int,
+        default=200_000,
+        help="state budget; the threads are interchangeable, so it counts "
+        "one state per permutation of the same thread states",
+    )
     p.add_argument("--thread", help="thread name")
     p.set_defaults(func=_cmd_explore)
 

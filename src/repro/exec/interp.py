@@ -18,7 +18,9 @@ This module serves three roles in the reproduction:
 :func:`explore` runs it to the first bad state, and the portfolio racer's
 phase 2 runs it until every watched location pair has a witness, in
 later thread-count rounds only to a ``max_depth`` one step short of the
-shortest witness in hand.
+shortest witness in hand.  When every thread runs the same CFA it stores
+one state per orbit under thread permutations, the first one found, so
+it finds the same witnesses while storing fewer states.
 
 Two evaluators share these semantics.  :meth:`MultiProgram.successors`,
 which every search and :func:`~repro.exec.simulate.simulate` draw from,
@@ -103,6 +105,11 @@ class MultiProgram:
         self._init_globals = dict(cfas[0].global_init)
         self._global_names = tuple(sorted(self._init_globals))
         self._atomic = tuple(cfa.atomic for cfa in self.cfas)
+        #: Every thread runs the same CFA, so permuting the threads of a
+        #: state gives a state with the same behaviour (:meth:`orbit`).
+        self.interchangeable = len(self.cfas) > 1 and all(
+            cfa is self.cfas[0] for cfa in self.cfas
+        )
         #: Per thread, location -> its compiled out-edges, filled in on the
         #: location's first visit; threads running one CFA share one table.
         shared: dict[int, dict[int, tuple[tuple[Edge, Fire], ...]]] = {}
@@ -132,6 +139,15 @@ class MultiProgram:
                 for cfa in self.cfas
             ),
         )
+
+    def orbit(self, state: ConcreteState) -> tuple:
+        """``state``'s orbit under permutations of interchangeable threads:
+        its globals and its sorted thread states, or, when the threads run
+        different CFAs, ``state`` itself."""
+        if not self.interchangeable:
+            return state
+        g, threads = state
+        return g, tuple(sorted(threads))
 
     # -- scheduling ---------------------------------------------------------------
 
@@ -268,7 +284,10 @@ class MultiProgram:
         self, race_on: str | None, check_errors: bool
     ) -> Callable[[ConcreteState], bool]:
         """Is a state a race on ``race_on`` (or, with ``check_errors``, an
-        assertion failure)?  Rejects a ``race_on`` that is not a global."""
+        assertion failure)?  Rejects a ``race_on`` that is not a global,
+        and a test that would check nothing."""
+        if race_on is None and not check_errors:
+            raise ValueError("nothing to check: give race_on or check_errors")
         if race_on is not None:
             self.cfas[0].require_global(race_on)
 
@@ -288,6 +307,8 @@ class RaceWitness:
     states: list[ConcreteState]
 
     def __str__(self) -> str:
+        if not self.steps:
+            return f"initial state: {self.states[0]}"
         lines = []
         for (thread, edge), state in zip(self.steps, self.states[1:]):
             lines.append(f"T{thread}: {edge.op}   -->  {state}")
@@ -311,11 +332,13 @@ class ExploreResult:
 class Search:
     """What one :func:`breadth_first_search` left behind.
 
-    ``parent`` maps every discovered state to the state, thread and edge
-    that first reached it (``None`` for the initial state).  ``ended`` says
+    ``parent`` maps every stored state to the state, thread and edge that
+    first reached it (``None`` for the initial state).  With interchangeable
+    threads the search stores one state per orbit, so ``parent``,
+    ``visited`` and the ``max_states`` budget count orbits.  ``ended`` says
     why the search ended: ``"stopped"`` (the stop test held at ``goal``),
     ``"exhausted"`` (no undiscovered state is left), ``"budget"``
-    (``max_states`` states discovered), ``"depth"`` (every state within
+    (``max_states`` states stored), ``"depth"`` (every state within
     ``max_depth`` steps discovered, the deepest ones not expanded),
     ``"deadline"`` or ``"cancelled"``.
     """
@@ -350,9 +373,19 @@ def breadth_first_search(
 ) -> Search:
     """Breadth-first search of the reachable states until ``stop`` holds.
 
-    ``stop`` sees every state once, in discovery order (the initial state
-    first), and ends the search by returning True.  The search also ends
-    after ``max_states`` discovered states, once the optional ``deadline``
+    When the program's threads are interchangeable (every thread runs one
+    CFA, as :meth:`MultiProgram.symmetric` builds), the search stores one
+    state per orbit (:meth:`MultiProgram.orbit`): the first one discovered,
+    with its parent.  Successors commute with thread permutations, so
+    these are exactly the states, parents and order the search would
+    store first in each orbit without the reduction, and every goal and
+    witness is the same (docs/ALGORITHM.md section 12); the budget and
+    the count are per orbit.  ``stop`` must then not tell threads apart,
+    as the race and assertion tests do not.
+
+    ``stop`` sees every stored state once, in discovery order (the initial
+    state first), and ends the search by returning True.  The search also
+    ends after ``max_states`` stored states, once the optional ``deadline``
     (an absolute :func:`time.perf_counter` instant, checked per expanded
     state) has passed, when ``should_stop`` (polled once per BFS level)
     returns True, or, given ``max_depth``, instead of expanding the states
@@ -362,12 +395,14 @@ def breadth_first_search(
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be at least 0, not {max_depth}")
+    orbit = program.orbit
     init = program.initial()
     parent: dict[ConcreteState, tuple[ConcreteState, int, Edge] | None] = {
         init: None
     }
     if stop(init):
         return Search(parent, 1, "stopped", init)
+    seen = {orbit(init)}
     frontier = [init]
     visited = 1
     depth = 0  # of the states in ``frontier``
@@ -382,8 +417,10 @@ def breadth_first_search(
             if deadline is not None and time.perf_counter() > deadline:
                 return Search(parent, visited, "deadline")
             for thread, edge, nxt in program.successors(state):
-                if nxt in parent:
+                key = orbit(nxt)
+                if key in seen:
                     continue
+                seen.add(key)
                 parent[nxt] = (state, thread, edge)
                 visited += 1
                 if stop(nxt):
@@ -405,10 +442,13 @@ def explore(
     """Breadth-first exploration of the reachable states.
 
     Stops at the first race on ``race_on`` (or assertion failure when
-    ``check_errors``), returning a shortest witness.  ``complete`` is False
-    when the ``max_states`` budget -- or the optional ``deadline``, an
-    absolute :func:`time.perf_counter` instant -- was exhausted first, in
-    which case the absence of a witness is inconclusive.
+    ``check_errors``), returning a shortest witness; raises ValueError when
+    given neither.  ``complete`` is False when the ``max_states`` budget --
+    or the optional ``deadline``, an absolute :func:`time.perf_counter`
+    instant -- was exhausted first, in which case the absence of a witness
+    is inconclusive.  For interchangeable threads the budget and
+    ``visited`` count orbits, one state per permutation of the same thread
+    states (:func:`breadth_first_search`).
     """
     is_bad = program.bad_state_test(race_on, check_errors)
     search = breadth_first_search(program, is_bad, max_states, deadline)

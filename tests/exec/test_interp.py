@@ -228,6 +228,20 @@ def test_non_global_race_variable_rejected():
         explore(MultiProgram.symmetric(cfa, 2), race_on="nope")
 
 
+def test_nothing_to_check_rejected():
+    cfa = lower_source(UNPROTECTED)
+    with pytest.raises(ValueError, match="nothing to check"):
+        explore(MultiProgram.symmetric(cfa, 2))
+
+
+def test_race_in_the_initial_state_prints_that_state():
+    cfa = lower_source("global int y; thread t { y = y + 1; }")
+    p = MultiProgram.symmetric(cfa, 2)
+    result = explore(p, race_on="y")
+    assert (result.visited, result.witness.steps) == (1, [])
+    assert str(result.witness) == f"initial state: {p.initial()}"
+
+
 def test_search_reports_how_it_ended():
     cfa = lower_source(UNPROTECTED)
     p = MultiProgram.symmetric(cfa, 2)

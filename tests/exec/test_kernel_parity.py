@@ -8,7 +8,9 @@ stop test: either the reference race test on the query's variable, or
 none, so that racy programs are also searched past their first race.
 The two searches must discover the same states in the same order with
 the same parent, thread and edge, end the same way at the same goal, and
-the two race tests must agree on every discovered state.
+the two race tests must agree on every discovered state.  Both store one
+state per orbit of interchangeable threads; ``test_symmetry_parity.py``
+checks that reduction against the unreduced search.
 
 The queries are Figure 1, the 13 Table 1 rows (``_buggy`` stripped),
 fuzz programs 0-31 without pointers, fuzz programs 0-15 with the default

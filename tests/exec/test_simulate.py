@@ -45,7 +45,7 @@ def test_terminated_runs_are_not_deadlocks():
     # Straight-line program: every thread runs off the end of its CFA.
     cfa = lower_source("global int g; thread t { g = 1; }")
     mp = MultiProgram.symmetric(cfa, 2)
-    result = simulate(mp, runs=5, max_steps=50, seed=4)
+    result = simulate(mp, check_errors=True, runs=5, max_steps=50, seed=4)
     assert not result.found
     assert result.deadlocks == 0
     assert result.terminations == 5
@@ -77,3 +77,17 @@ def test_non_global_race_variable_rejected():
     cfa = lower_source("global int x; thread t { while (1) { x = x + 1; } }")
     with pytest.raises(ValueError, match="not a global"):
         simulate(MultiProgram.symmetric(cfa, 2), race_on="nope")
+
+
+def test_nothing_to_check_rejected():
+    cfa = lower_source("global int x; thread t { while (1) { x = x + 1; } }")
+    with pytest.raises(ValueError, match="nothing to check"):
+        simulate(MultiProgram.symmetric(cfa, 2))
+
+
+def test_race_in_the_initial_state_prints_that_state():
+    cfa = lower_source("global int y; thread t { y = y + 1; }")
+    mp = MultiProgram.symmetric(cfa, 2)
+    result = simulate(mp, race_on="y", runs=1, seed=0)
+    assert result.witness.steps == []
+    assert str(result.witness) == f"initial state: {mp.initial()}"

@@ -454,6 +454,38 @@ def test_non_global_race_variable_is_a_usage_error(racy_file, command, capsys):
     assert "'nope' is not a global" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["explore", "simulate"])
+def test_nothing_to_check_is_a_usage_error(racy_file, command, capsys):
+    """Given neither --var nor --errors, a search checks nothing: a usage
+    error, never a clean result."""
+    assert main([command, racy_file]) == 2
+    assert "nothing to check" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["explore", "simulate"])
+def test_race_in_the_initial_state_prints_that_state(tmp_path, command, capsys):
+    f = tmp_path / "once.c"
+    f.write_text("global int y; thread t { y = y + 1; }")
+    assert main([command, str(f), "--var", "y"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("initial state: <y=0 | T0@"), out
+
+
+def test_explore_budget_counts_orbits(tmp_path, capsys):
+    """Four interchangeable threads of a loop-free test-and-set reach 174
+    orbits; a 200-state budget covers them all."""
+    f = tmp_path / "tas_once.c"
+    f.write_text(
+        "global int x, m; thread t { local int got; "
+        "atomic { got = m; if (m == 0) { m = 1; } } "
+        "if (got == 0) { x = 1; m = 0; } }"
+    )
+    argv = ["explore", str(f), "--var", "x", "--threads", "4"]
+    assert main([*argv, "--max-states", "200"]) == 0
+    assert "(174 states, complete)" in capsys.readouterr().out
+    assert main([*argv, "--max-states", "174"]) == 3
+
+
 def test_batch_events_jsonl(fig1_file, tmp_path, capsys):
     import json
 

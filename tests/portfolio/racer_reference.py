@@ -1,11 +1,14 @@
-"""Test-only reference: the racer's phase 2 before the depth bound.
+"""Test-only reference: the racer's phase 2 before the depth bound and
+the thread-symmetry reduction.
 
 :func:`racer_check` here is :func:`repro.portfolio.racer.racer_check` with
 its former round loop, kept verbatim: every thread-count round searches
-to its state budget, whatever witnesses earlier rounds found.  The parity
-suite (``test_racer_parity.py``) runs both and checks that the depth bound
-changes no answer, only the per-pair statuses it documents and the state
-count.
+to its state budget, whatever witnesses earlier rounds found.  Its rounds
+run the unreduced search of ``tests/exec/interp_reference.py``, which
+stores every ordering of the same thread states.  The parity suite
+(``test_racer_parity.py``) runs both and checks that the depth bound and
+the reduction change no answer, only the per-pair statuses it documents
+and the state count.
 """
 
 from __future__ import annotations
@@ -14,14 +17,11 @@ import time
 from typing import Callable, Optional
 
 from repro.cfa.cfa import CFA, Edge
-from repro.exec.interp import (
-    ConcreteState,
-    MultiProgram,
-    breadth_first_search,
-    replay,
-)
+from repro.exec.interp import ConcreteState, MultiProgram, replay
 from repro.portfolio.racer import PairStatus, RacerReport, _pair_proof
 from repro.static.mhp import MhpReport, mhp_analysis
+
+from ..exec.interp_reference import breadth_first_search
 
 
 def _pair_hit(state: ConcreteState, pair: tuple[int, int]) -> bool:
