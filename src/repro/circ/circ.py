@@ -76,7 +76,6 @@ def circ(
     max_iterations: int | None = None,
     timeout_s: float | None = None,
     keep_history: bool = False,
-    validate_witness: bool = True,
     store: ArgStore | None = None,
 ) -> CircSafe | CircUnsafe | CircUnknown:
     """Check the symmetric multithreaded program ``cfa``^infinity for races
@@ -220,17 +219,10 @@ def circ(
                     except RefinementFailure as stalled:
                         return give_up(budget_reason() or str(stalled))
                 if isinstance(outcome, RealRace):
-                    if validate_witness:
-                        program_c = MultiProgram.symmetric(
-                            cfa, outcome.n_threads
-                        )
-                        ok, _ = replay(
-                            program_c, outcome.steps, race_on=race_on
-                        )
-                        if not ok:
-                            raise CircError(
-                                "counterexample failed concrete replay"
-                            )
+                    program_c = MultiProgram.symmetric(cfa, outcome.n_threads)
+                    ok, _ = replay(program_c, outcome.steps, race_on=race_on)
+                    if not ok:
+                        raise CircError("counterexample failed concrete replay")
                     finalize_stats()
                     return CircUnsafe(
                         variable=race_on,

@@ -151,7 +151,6 @@ def circ_multi(
     max_outer: int = 40,
     max_inner: int = 40,
     max_states: int = 500_000,
-    validate_witness: bool = True,
 ) -> MultiSafe | MultiUnsafe | CircUnknown:
     """Check races on ``race_on`` over arbitrarily many copies of *each*
     template running concurrently.
@@ -254,23 +253,15 @@ def circ_multi(
                 except RefinementFailure as stalled:
                     return give_up(str(stalled))
                 if isinstance(outcome, MultiUnsafe):
-                    if validate_witness:
-                        order = sorted(outcome.template_of)
-                        mp = MultiProgram(
-                            [
-                                templates[outcome.template_of[t]]
-                                for t in order
-                            ]
-                        )
-                        remap = {t: j for j, t in enumerate(order)}
-                        steps = [
-                            (remap[t], e) for t, e in outcome.steps
-                        ]
-                        ok, _ = replay(mp, steps, race_on=race_on)
-                        if not ok:
-                            raise CircError(
-                                "multi-template witness failed replay"
-                            )
+                    order = sorted(outcome.template_of)
+                    mp = MultiProgram(
+                        [templates[outcome.template_of[t]] for t in order]
+                    )
+                    remap = {t: j for j, t in enumerate(order)}
+                    steps = [(remap[t], e) for t, e in outcome.steps]
+                    ok, _ = replay(mp, steps, race_on=race_on)
+                    if not ok:
+                        raise CircError("multi-template witness failed replay")
                     outcome.stats = stats
                     stats.elapsed_seconds = (
                         time.perf_counter() - start_time

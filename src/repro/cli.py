@@ -25,12 +25,10 @@ Subcommands
     mapping as ``check``.
 
 ``portfolio FILE``
-    Race the witness-producing static detectors against CIRC with
-    cross-cancellation: the first confident verdict (sound proof or
-    replayed witness) cancels the rest.  ``--parallel`` runs CIRC as a
-    job on a worker process, so cancellation is two-way; win rates per
-    workload shape are learned into the cache directory and reorder the
-    schedule.
+    Run the witness-producing static detectors and CIRC one after
+    another: the first confident verdict (sound proof or replayed
+    witness) cancels the rest.  Win rates per workload shape are learned
+    into the cache directory and reorder the schedule.
 
 ``cfa FILE``
     Dump the thread's control flow automaton (text or Graphviz).
@@ -184,12 +182,6 @@ def _cmd_check(args) -> int:
     if not variables or variables == [None]:
         print("error: give --var NAME or --all", file=sys.stderr)
         return 2
-    if args.parallel and not args.portfolio:
-        print("error: --parallel requires --portfolio", file=sys.stderr)
-        return 2
-    if args.report and args.portfolio:
-        print("error: --report does not combine with --portfolio", file=sys.stderr)
-        return 2
     if args.stats:
         from .smt.profile import PROFILER
 
@@ -226,30 +218,7 @@ def _cmd_check(args) -> int:
                     f"-- {vv.reason}]"
                 )
                 continue
-        portfolio_tag = ""
-        if args.portfolio:
-            from .portfolio import run_portfolio
-
-            source = Path(args.file).read_text()
-            preport = run_portfolio(
-                cfa,
-                var,
-                source=source,
-                thread=args.thread,
-                parallel=args.parallel,
-                **options,
-            )
-            result = preport.to_circ_result()
-            portfolio_tag = (
-                f"    portfolio: won by {preport.winner or 'none'}"
-                + (
-                    f", cancelled {', '.join(preport.cancelled)}"
-                    if preport.cancelled
-                    else ""
-                )
-            )
-        else:
-            result = circ(cfa, race_on=var, **options)
+        result = circ(cfa, race_on=var, **options)
         # The verifier's own stats record is the single timing source
         # (the engine's JSONL events read the same field); the local
         # clock only covers verdicts that never reached finalization.
@@ -280,8 +249,6 @@ def _cmd_check(args) -> int:
             )
             for tid, edge in result.steps:
                 print(f"    T{tid}: {edge.op}")
-        if portfolio_tag:
-            print(portfolio_tag)
     if args.stats:
         _print_smt_stats()
         if reuse_totals:
@@ -289,7 +256,18 @@ def _cmd_check(args) -> int:
     return _verdict_exit(races, unknown)
 
 
+def _nothing_to_check(args) -> bool:
+    """``explore`` and ``simulate`` need a race variable or --errors;
+    says so in the command line's terms when given neither."""
+    if args.var is None and not args.errors:
+        print("error: nothing to check: give --var NAME or --errors", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_explore(args) -> int:
+    if _nothing_to_check(args):
+        return EXIT_USAGE
     cfa = _load(args.file, args.thread)
     mp = MultiProgram.symmetric(cfa, args.threads)
     result = explore(
@@ -394,8 +372,7 @@ def _cmd_portfolio(args) -> int:
         rows_to_payload,
     )
 
-    source = Path(args.file).read_text()
-    cfa = lower_source(source, args.thread)
+    cfa = _load(args.file, args.thread)
     variables = (
         [args.var] if args.var else sorted(racy_variables(cfa))
     )
@@ -420,16 +397,7 @@ def _cmd_portfolio(args) -> int:
     try:
         for var in variables:
             report = run_portfolio(
-                cfa,
-                var,
-                source=source,
-                thread=args.thread,
-                cancel=not args.no_cancel,
-                parallel=args.parallel,
-                cache=cache,
-                events=events,
-                winrates=book,
-                **options,
+                cfa, var, cache=cache, events=events, winrates=book, **options
             )
             all_rows.extend(
                 rows_from_portfolio(report, model=Path(args.file).name)
@@ -488,6 +456,8 @@ def _cmd_redundant(args) -> int:
 def _cmd_simulate(args) -> int:
     from .exec.simulate import simulate
 
+    if _nothing_to_check(args):
+        return EXIT_USAGE
     cfa = _load(args.file, args.thread)
     mp = MultiProgram.symmetric(cfa, args.threads)
     result = simulate(
@@ -932,7 +902,7 @@ def _add_query_arguments(p: argparse.ArgumentParser) -> None:
         "--portfolio",
         action="store_true",
         help="resolve each job through the analysis portfolio "
-        "(racer/absint/CIRC with cross-cancellation)",
+        "(racer, absint and CIRC; a confident verdict cancels the rest)",
     )
 
 
@@ -964,17 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run CIRC on every variable, skipping the static pre-analysis",
     )
     _add_budget_arguments(p)
-    p.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="race the static detectors against CIRC with cross-cancellation",
-    )
-    p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="with --portfolio: run CIRC on a worker process "
-        "(two-way cancellation)",
-    )
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser(
@@ -1014,21 +973,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "portfolio",
-        help="static detectors race CIRC with cross-cancellation",
+        help="static detectors, then CIRC; a confident verdict cancels the rest",
     )
     p.add_argument("file")
     p.add_argument("--var", help="global variable to check")
     p.add_argument("--thread", help="thread name for multi-thread files")
-    p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run CIRC on a worker process (two-way cancellation)",
-    )
-    p.add_argument(
-        "--no-cancel",
-        action="store_true",
-        help="run every analysis to completion (no cross-cancellation)",
-    )
     p.add_argument(
         "--cache",
         default=".repro-cache",

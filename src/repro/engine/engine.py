@@ -1,9 +1,10 @@
 """The batch verification engine: planner -> scheduler -> cache.
 
 ``run_batch`` is the bulk entry point (the ``repro-race batch``
-subcommand, the redundancy auditor, and ``bench_engine.py`` all sit on
-it); ``verify_one`` runs a single query of an already-lowered program
-as a one-job batch, giving ``check_race`` the same cached path.
+subcommand and ``bench_engine.py`` sit on it); ``verify_one`` runs a
+single query of an already-lowered program as a one-job batch, the
+cached counterpart of ``check_race`` that the fuzzer's engine paths
+use.
 
 A batch run:
 

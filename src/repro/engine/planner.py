@@ -9,10 +9,9 @@ classifies its shared variables through the static pre-analysis
   immediately as static proofs -- no job is spawned for them;
 * plans one :class:`Job` per remaining ``must-check`` query, keyed by
   the content digest of its relevant slice;
-* deduplicates jobs with identical (digest, options) keys: audits like
-  the redundancy checker submit dozens of program variants whose slices
-  for a given variable are often byte-identical, and those must be
-  verified once and fanned out, not recomputed per variant.
+* deduplicates jobs with identical (digest, options) keys: queries
+  whose slices for a variable are byte-identical are verified once and
+  fanned out, not recomputed per query.
 """
 
 from __future__ import annotations

@@ -128,14 +128,7 @@ def _run_portfolio_job(cfa, variable, payload, options, extras, events):
         book = WinRateBook(os.path.join(cache_root, "winrates.json"))
     try:
         report = run_portfolio(
-            cfa,
-            variable,
-            source=payload["source"],
-            thread=payload["thread"],
-            cache=cache,
-            winrates=book,
-            events=events,
-            **options,
+            cfa, variable, cache=cache, winrates=book, events=events, **options
         )
     except PortfolioConflict as exc:
         # A confident disagreement between analyses is evidence of an

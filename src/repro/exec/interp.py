@@ -339,8 +339,8 @@ class Search:
     why the search ended: ``"stopped"`` (the stop test held at ``goal``),
     ``"exhausted"`` (no undiscovered state is left), ``"budget"``
     (``max_states`` states stored), ``"depth"`` (every state within
-    ``max_depth`` steps discovered, the deepest ones not expanded),
-    ``"deadline"`` or ``"cancelled"``.
+    ``max_depth`` steps discovered, the deepest ones not expanded) or
+    ``"deadline"``.
     """
 
     parent: dict[ConcreteState, tuple[ConcreteState, int, Edge] | None]
@@ -368,7 +368,6 @@ def breadth_first_search(
     stop: Callable[[ConcreteState], bool],
     max_states: int,
     deadline: float | None = None,
-    should_stop: Optional[Callable[[], bool]] = None,
     max_depth: int | None = None,
 ) -> Search:
     """Breadth-first search of the reachable states until ``stop`` holds.
@@ -387,11 +386,11 @@ def breadth_first_search(
     state first), and ends the search by returning True.  The search also
     ends after ``max_states`` stored states, once the optional ``deadline``
     (an absolute :func:`time.perf_counter` instant, checked per expanded
-    state) has passed, when ``should_stop`` (polled once per BFS level)
-    returns True, or, given ``max_depth``, instead of expanding the states
-    that many steps from the initial state.  The search is level by level,
-    so a bounded search is a prefix of the unbounded one: the same states
-    in the same order with the same parents, cut after depth ``max_depth``.
+    state) has passed, or, given ``max_depth``, instead of expanding the
+    states that many steps from the initial state.  The search is level
+    by level, so a bounded search is a prefix of the unbounded one: the
+    same states in the same order with the same parents, cut after depth
+    ``max_depth``.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be at least 0, not {max_depth}")
@@ -407,8 +406,6 @@ def breadth_first_search(
     visited = 1
     depth = 0  # of the states in ``frontier``
     while frontier:
-        if should_stop is not None and should_stop():
-            return Search(parent, visited, "cancelled")
         if depth == max_depth:
             return Search(parent, visited, "depth")
         depth += 1

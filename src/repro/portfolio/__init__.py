@@ -1,4 +1,4 @@
-"""Portfolio race analysis: fast witness-producing detectors racing CIRC.
+"""Portfolio race analysis: fast witness-producing detectors ahead of CIRC.
 
 Three analyses of complementary strength run against one query:
 
@@ -16,10 +16,11 @@ Three analyses of complementary strength run against one query:
 
 The racer and absint read the same phase-1 facts, which
 :mod:`repro.portfolio.driver` builds at most once per query.  The driver
-schedules the analyses with cross-cancellation (a confident verdict
-kills the still-running analyses), reconciles verdicts (any confident
-disagreement is a hard error), and feeds per-analysis win rates back
-into the scheduling order through :mod:`repro.portfolio.winrate`.
+runs the analyses one after another with cancellation (after a
+confident verdict the rest do not run), reconciles verdicts (any
+confident disagreement is a hard error), and feeds per-analysis win
+rates back into the scheduling order through
+:mod:`repro.portfolio.winrate`.
 """
 
 from .absint import AbsintReport, absint_check

@@ -1,14 +1,12 @@
-"""The portfolio driver: baselines race CIRC with cross-cancellation.
+"""The portfolio driver: cheap baselines short-cut CIRC with cancellation.
 
 One query, several analyses of complementary strength (see the package
-docstring), one verdict.  The driver enforces three contracts:
+docstring), one verdict.  The analyses run one after another in the
+win-rate book's order, and the driver enforces three contracts:
 
-* **Cross-cancellation** -- the first *confident* verdict (a safety
-  proof or a replayed race witness) cancels every analysis still
-  running: a baseline win kills the CIRC job, and a CIRC result stops
-  the racer's witness search mid-flight (``parallel=True`` runs CIRC as
-  a job on a worker process, :mod:`repro.shard.worker`, so the
-  cancellation is genuinely two-way).
+* **Cancellation** -- the first *confident* verdict (a safety proof or
+  a replayed race witness) cancels every analysis after it: those are
+  recorded ``cancelled`` and never run, so a baseline win skips CIRC.
 * **Reconciliation** -- confident verdicts may only agree.  Two
   confident analyses disagreeing, or a race verdict whose witness fails
   interpreter replay, raises :class:`PortfolioConflict`: one of the
@@ -34,7 +32,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from ..acfa.acfa import empty_acfa
 from ..cfa.cfa import CFA, Edge
@@ -49,7 +47,7 @@ from ..circ.result import (
 from ..engine.cache import ArtifactCache
 from ..engine.events import EventLog
 from ..exec.interp import MultiProgram, replay
-from ..static.mhp import MhpReport, mhp_analysis
+from ..static.mhp import mhp_analysis
 from .absint import absint_check
 from .racer import racer_check
 from .winrate import DEFAULT_ORDER, WinRateBook, shape_class
@@ -245,58 +243,88 @@ def _circ_outcome(result: CircResult, time_ms: float) -> AnalysisOutcome:
 def run_portfolio(
     cfa: CFA,
     variable: str,
-    source: str | None = None,
-    thread: str | None = None,
-    analyses: tuple[str, ...] = DEFAULT_ORDER,
     cancel: bool = True,
-    parallel: bool = False,
     cache: ArtifactCache | None = None,
     events: EventLog | None = None,
     winrates: WinRateBook | None = None,
-    racer_max_threads: int = 3,
-    racer_max_states: int = 20_000,
     **circ_options,
 ) -> PortfolioReport:
-    """Race the portfolio's analyses on one (template, variable) query.
+    """Run the portfolio's analyses on one (template, variable) query.
 
+    The analyses run one after another, in the win-rate book's order for
+    the query's shape (:data:`~repro.portfolio.winrate.DEFAULT_ORDER`
+    without a book).  With ``cancel`` (the default), every analysis after
+    the first confident verdict is recorded ``cancelled`` and not run;
     ``cancel=False`` runs every analysis to completion (the
     reconciliation test uses this to force maximal disagreement
-    surface); ``parallel=True`` additionally runs CIRC as a job on a
-    worker process, which a baseline verdict kills mid-run, and whose
-    answer stops the baselines (requires ``source``, since a CFA does
-    not cross the process boundary).  Keyword options are forwarded to
-    :func:`repro.circ.circ`.
+    surface).  Keyword options are forwarded to :func:`repro.circ.circ`.
     """
     cfa.require_global(variable)
     events = events or EventLog()
     start = time.perf_counter()
     shape = shape_class(cfa, variable)
-    order = (
-        winrates.order(shape, analyses) if winrates is not None else analyses
-    )
+    order = winrates.order(shape) if winrates is not None else DEFAULT_ORDER
     events.emit(
-        "portfolio_started",
-        variable=variable,
-        shape=shape,
-        order=list(order),
-        parallel=bool(parallel and source),
+        "portfolio_started", variable=variable, shape=shape, order=list(order)
     )
     outcomes: list[AnalysisOutcome] = []
     # The phase-1 facts both baselines read, built by the first to run.
     facts = functools.cache(functools.partial(mhp_analysis, cfa))
-
-    if parallel and source is not None and "circ" in order:
-        _run_parallel(
-            cfa, variable, facts, source, thread, order, cancel,
-            racer_max_threads, racer_max_states, circ_options,
-            cache, events, outcomes,
+    decided = False
+    for name in order:
+        if decided and cancel:
+            outcomes.append(
+                AnalysisOutcome(
+                    analysis=name,
+                    verdict="cancelled",
+                    time_ms=0.0,
+                    detail="cancelled by a confident verdict",
+                    cancelled=True,
+                )
+            )
+            events.emit(
+                "portfolio_cancelled", variable=variable, analysis=name
+            )
+            continue
+        events.emit(
+            "portfolio_analysis_started", variable=variable, analysis=name
         )
-    else:
-        _run_serial(
-            cfa, variable, facts, order, cancel,
-            racer_max_threads, racer_max_states, circ_options,
-            cache, events, outcomes,
+        started = time.perf_counter()
+        if name == "circ":
+            result = circ(cfa, race_on=variable, **circ_options)
+            outcome = _circ_outcome(
+                result, (time.perf_counter() - started) * 1000.0
+            )
+        elif name == "racer":
+            r = racer_check(cfa, variable, facts=facts())
+            outcome = AnalysisOutcome(
+                analysis="racer",
+                verdict=r.verdict,
+                time_ms=(time.perf_counter() - started) * 1000.0,
+                detail=r.reason,
+                n_threads=r.n_threads,
+                witness=r.witness,
+            )
+        else:  # absint
+            a = absint_check(
+                cfa, variable, cache=cache, events=events, facts=facts()
+            )
+            outcome = AnalysisOutcome(
+                analysis="absint",
+                verdict=a.verdict,
+                time_ms=(time.perf_counter() - started) * 1000.0,
+                detail=a.reason + (" [cached]" if a.cached else ""),
+            )
+        outcomes.append(outcome)
+        events.emit(
+            "portfolio_analysis_finished",
+            variable=variable,
+            analysis=name,
+            verdict=outcome.verdict,
+            ms=round(outcome.time_ms, 3),
         )
+        if outcome.confident:
+            decided = True
 
     for outcome in outcomes:
         if outcome.confident:
@@ -332,248 +360,3 @@ def run_portfolio(
         total_ms=round(total_ms, 3),
     )
     return report
-
-
-def _baseline_outcome(
-    name: str,
-    cfa: CFA,
-    variable: str,
-    facts: Callable[[], MhpReport],
-    racer_max_threads: int,
-    racer_max_states: int,
-    cache: ArtifactCache | None,
-    events: EventLog,
-    should_stop=None,
-) -> AnalysisOutcome:
-    start = time.perf_counter()
-    if name == "racer":
-        r = racer_check(
-            cfa,
-            variable,
-            max_threads=racer_max_threads,
-            max_states=racer_max_states,
-            facts=facts(),
-            should_stop=should_stop,
-        )
-        return AnalysisOutcome(
-            analysis="racer",
-            verdict="unknown" if r.cancelled else r.verdict,
-            time_ms=(time.perf_counter() - start) * 1000.0,
-            detail=r.reason,
-            n_threads=r.n_threads,
-            witness=r.witness,
-            cancelled=r.cancelled,
-        )
-    if name == "absint":
-        a = absint_check(
-            cfa, variable, cache=cache, events=events, facts=facts()
-        )
-        return AnalysisOutcome(
-            analysis="absint",
-            verdict=a.verdict,
-            time_ms=(time.perf_counter() - start) * 1000.0,
-            detail=a.reason + (" [cached]" if a.cached else ""),
-        )
-    raise ValueError(f"unknown analysis {name!r}")
-
-
-def _run_serial(
-    cfa, variable, facts, order, cancel,
-    racer_max_threads, racer_max_states, circ_options,
-    cache, events, outcomes,
-) -> None:
-    decided = False
-    for name in order:
-        if decided and cancel:
-            outcomes.append(
-                AnalysisOutcome(
-                    analysis=name,
-                    verdict="cancelled",
-                    time_ms=0.0,
-                    detail="cancelled by a confident verdict",
-                    cancelled=True,
-                )
-            )
-            events.emit(
-                "portfolio_cancelled", variable=variable, analysis=name
-            )
-            continue
-        events.emit(
-            "portfolio_analysis_started", variable=variable, analysis=name
-        )
-        if name == "circ":
-            start = time.perf_counter()
-            result = circ(cfa, race_on=variable, **circ_options)
-            outcome = _circ_outcome(
-                result, (time.perf_counter() - start) * 1000.0
-            )
-        else:
-            outcome = _baseline_outcome(
-                name, cfa, variable, facts,
-                racer_max_threads, racer_max_states, cache, events,
-            )
-        outcomes.append(outcome)
-        events.emit(
-            "portfolio_analysis_finished",
-            variable=variable,
-            analysis=name,
-            verdict=outcome.verdict,
-            ms=round(outcome.time_ms, 3),
-        )
-        if outcome.confident:
-            decided = True
-
-
-def _run_parallel(
-    cfa, variable, facts, source, thread, order, cancel,
-    racer_max_threads, racer_max_states, circ_options,
-    cache, events, outcomes,
-) -> None:
-    """Run CIRC as one job on a worker process, the baselines here;
-    cancellation is two-way.  The worker is killed and reaped before
-    this returns, whether CIRC answered, was cancelled or ran out of
-    time.  A worker that cannot be started leaves everything to
-    :func:`_run_serial`."""
-    # Imported here: the shard package sits on the engine, which imports
-    # this module for portfolio jobs.
-    from ..engine.artifacts import term_to_obj
-    from ..shard.worker import Worker
-
-    options = dict(circ_options)
-    seeds = options.pop("initial_predicates", ())
-    worker = Worker(0)
-    try:
-        worker.spawn()
-    except OSError as exc:
-        events.emit("worker_failed", worker=worker.id, reason=str(exc))
-        _run_serial(
-            cfa, variable, facts, order, cancel,
-            racer_max_threads, racer_max_states, circ_options,
-            cache, events, outcomes,
-        )
-        return
-    try:
-        worker.send(
-            {
-                "op": "job",
-                "payload": {
-                    "job_id": 0,
-                    "source": source,
-                    "thread": thread,
-                    "variable": variable,
-                    "options": options,
-                    "seed_predicates": [term_to_obj(p) for p in seeds],
-                },
-            }
-        )
-        circ_start = time.perf_counter()
-        events.emit(
-            "portfolio_analysis_started", variable=variable, analysis="circ",
-            mode="process", pid=worker.proc.pid,
-        )
-        reply: list[AnalysisOutcome] = []  # CIRC's outcome, once read
-
-        def circ_answered() -> bool:
-            """Whether CIRC has delivered a confident verdict; reads the
-            worker's reply the first time one is waiting."""
-            if not reply and worker.ready():
-                reply.append(_circ_reply(worker, variable, circ_start))
-            return bool(reply) and reply[0].confident
-
-        decided = False
-        for name in order:
-            if name == "circ":
-                continue
-            if (decided or circ_answered()) and cancel:
-                outcomes.append(
-                    AnalysisOutcome(
-                        analysis=name, verdict="cancelled", time_ms=0.0,
-                        detail="cancelled by a confident verdict",
-                        cancelled=True,
-                    )
-                )
-                events.emit(
-                    "portfolio_cancelled", variable=variable, analysis=name
-                )
-                continue
-            outcome = _baseline_outcome(
-                name, cfa, variable, facts,
-                racer_max_threads, racer_max_states, cache, events,
-                should_stop=circ_answered if cancel else None,
-            )
-            outcomes.append(outcome)
-            events.emit(
-                "portfolio_analysis_finished",
-                variable=variable, analysis=name,
-                verdict=outcome.verdict, ms=round(outcome.time_ms, 3),
-            )
-            if outcome.confident:
-                decided = True
-
-        circ_answered()  # a reply may have arrived since the last look
-        if not reply and decided and cancel:
-            outcomes.append(
-                AnalysisOutcome(
-                    analysis="circ", verdict="cancelled", time_ms=0.0,
-                    detail="CIRC job killed by a confident baseline verdict",
-                    cancelled=True,
-                )
-            )
-            events.emit(
-                "portfolio_cancelled", variable=variable, analysis="circ",
-                pid=worker.proc.pid,
-            )
-            return
-
-        if not reply:
-            timeout = circ_options.get("timeout_s")
-            budget = (timeout + 30.0) if timeout else 600.0
-            if worker.ready(budget):
-                reply.append(_circ_reply(worker, variable, circ_start))
-            else:
-                reply.append(
-                    _circ_failed(
-                        variable,
-                        "CIRC worker produced no result within the budget",
-                        circ_start,
-                    )
-                )
-        outcomes.append(reply[0])
-        events.emit(
-            "portfolio_analysis_finished",
-            variable=variable, analysis="circ",
-            verdict=reply[0].verdict, ms=round(reply[0].time_ms, 3),
-        )
-    finally:
-        worker.kill()
-
-
-def _circ_reply(worker, variable: str, circ_start: float) -> AnalysisOutcome:
-    """CIRC's outcome from the reply waiting on ``worker``'s pipe.  Only
-    a result frame is an answer: EOF (the worker died) or any other
-    frame is an unknown outcome, so a crashed worker cancels nothing."""
-    from ..engine.artifacts import result_from_obj
-
-    try:
-        frame = worker.recv()
-    except ValueError:
-        frame = None
-    if frame is None or frame.get("frame") != "result":
-        return _circ_failed(
-            variable, "CIRC worker died or sent no result", circ_start
-        )
-    record = frame["record"]
-    return _circ_outcome(
-        result_from_obj(record["result"]), record["elapsed_ms"]
-    )
-
-
-def _circ_failed(
-    variable: str, reason: str, circ_start: float
-) -> AnalysisOutcome:
-    return _circ_outcome(
-        CircUnknown(
-            variable=variable, reason=reason, predicates=(), stats=CircStats()
-        ),
-        (time.perf_counter() - circ_start) * 1000.0,
-    )

@@ -32,14 +32,13 @@ warning:
 
 Safety claims are therefore exactly as strong as CIRC's (unbounded), and
 race claims carry evidence the interpreter accepts -- which is what lets
-the portfolio driver cancel a CIRC run on either verdict.
+the portfolio driver skip CIRC on either verdict.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from ..cfa.cfa import CFA, Edge
 from ..exec.interp import (
@@ -61,8 +60,8 @@ class PairStatus:
     ``status`` is ``proved`` (phase-1 kill rule, ``reason`` names it),
     ``witnessed`` (``witness`` replays in the interpreter), or
     ``undecided``: it survived phase 1 and has no witness, because the
-    search ran out of budget, was cancelled, or stopped at the depth
-    bound another pair's witness set (``reason`` says which).
+    search ran out of budget or stopped at the depth bound another
+    pair's witness set (``reason`` says which).
     """
 
     pair: tuple[int, int]
@@ -88,8 +87,6 @@ class RacerReport:
     #: States phase 2 stored over all its rounds: the threads are
     #: interchangeable, so one per orbit under thread permutations.
     states_explored: int = 0
-    #: True when a cancellation callback stopped phase 2 early.
-    cancelled: bool = False
 
     @property
     def undecided_pairs(self) -> tuple[PairStatus, ...]:
@@ -125,7 +122,6 @@ def _search_witnesses(
     targets: list[tuple[int, int]],
     n_threads: int,
     max_states: int,
-    should_stop: Optional[Callable[[], bool]],
     max_depth: int | None,
 ) -> tuple[dict[tuple[int, int], tuple[tuple[int, Edge], ...]], int, str]:
     """One BFS over ``n_threads`` symmetric copies, watching every target.
@@ -150,8 +146,7 @@ def _search_witnesses(
         return not remaining
 
     search = breadth_first_search(
-        program, all_hit, max_states, should_stop=should_stop,
-        max_depth=max_depth,
+        program, all_hit, max_states, max_depth=max_depth
     )
     found = {}
     for pair, state in hits.items():
@@ -168,17 +163,13 @@ def racer_check(
     max_threads: int = 3,
     max_states: int = 20_000,
     facts: MhpReport | None = None,
-    should_stop: Optional[Callable[[], bool]] = None,
 ) -> RacerReport:
     """Run both phases for one shared variable.
 
     ``facts`` lets callers share one :func:`~repro.static.mhp.mhp_analysis`
-    run across analyses of the same CFA.  ``should_stop`` is polled
-    between exploration rounds so the portfolio driver can cancel a
-    search once another analysis has produced a confident verdict; a
-    cancelled report is always ``unknown`` and flagged ``cancelled``.
-    ``max_states`` bounds each round, counting one state per orbit under
-    thread permutations, as ``states_explored`` does.
+    run across analyses of the same CFA.  ``max_states`` bounds each
+    round, counting one state per orbit under thread permutations, as
+    ``states_explored`` does.
     """
     cfa.require_global(variable)
     start = time.perf_counter()
@@ -245,10 +236,9 @@ def racer_check(
     witnesses: dict[tuple[int, int], tuple[tuple[int, Edge], ...]] = {}
     thread_count: dict[tuple[int, int], int] = {}
     states_total = 0
-    stopped = False
     cut = ""  # why the depth bound left the pending pairs unsearched
     for n in range(2, max_threads + 1):
-        if not pending or stopped:
+        if not pending:
             break
         shortest = min(map(len, witnesses.values()), default=None)
         if shortest == 0:
@@ -259,9 +249,8 @@ def racer_check(
             break
         depth = None if shortest is None else shortest - 1
         found, visited, ended = _search_witnesses(
-            cfa, variable, pending, n, max_states, should_stop, depth
+            cfa, variable, pending, n, max_states, depth
         )
-        stopped = ended == "cancelled"
         if ended == "depth":
             cut = (
                 f"not searched past depth {depth} at {n} threads: "
@@ -290,9 +279,7 @@ def racer_check(
                     pair=pair,
                     status="undecided",
                     reason=(
-                        "cancelled before a verdict"
-                        if stopped
-                        else cut
+                        cut
                         or f"no witness within {max_threads} threads / "
                         f"{max_states} states"
                     ),
@@ -325,5 +312,4 @@ def racer_check(
         phase1_ms=phase1_ms,
         phase2_ms=phase2_ms,
         states_explored=states_total,
-        cancelled=stopped,
     )

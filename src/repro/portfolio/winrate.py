@@ -113,21 +113,17 @@ class WinRateBook:
             return 0.0
         return cell["wins"] / cell["runs"]
 
-    def order(
-        self, shape: str, analyses: tuple[str, ...] = DEFAULT_ORDER
-    ) -> tuple[str, ...]:
-        """Schedule order for a shape: highest win rate first."""
-        base = {name: i for i, name in enumerate(DEFAULT_ORDER)}
+    def order(self, shape: str) -> tuple[str, ...]:
+        """Schedule order for a shape: highest win rate first, then
+        lowest mean latency; ties keep :data:`DEFAULT_ORDER`."""
 
-        def rank(name: str) -> tuple:
+        def rank(name: str) -> tuple[float, float]:
             cell = self.counts.get(shape, {}).get(name)
             if not cell or not cell["runs"]:
-                return (0.0, 0.0, base.get(name, len(base)))
-            rate = cell["wins"] / cell["runs"]
-            mean_ms = cell["total_ms"] / cell["runs"]
-            return (-rate, mean_ms, base.get(name, len(base)))
+                return (0.0, 0.0)
+            return (-cell["wins"] / cell["runs"], cell["total_ms"] / cell["runs"])
 
-        return tuple(sorted(analyses, key=rank))
+        return tuple(sorted(DEFAULT_ORDER, key=rank))
 
     def to_obj(self) -> dict:
         return {"shapes": self.counts}

@@ -164,100 +164,11 @@ def _sync_sites(tdef: A.ThreadDef) -> list[tuple[SyncSite, object, object]]:
     return sites
 
 
-def _find_redundant_engine(
-    program: A.Program,
-    tdef: A.ThreadDef,
-    variable: str,
-    use_prefilter: bool,
-    cache_dir: str | None,
-    workers: int | None,
-    circ_options: dict,
-) -> list[RedundancyFinding]:
-    """Engine-backed redundancy audit: one batch over every variant.
-
-    The baseline and all stripped variants go through a single
-    :func:`repro.engine.run_batch` call, so variants whose slices for
-    ``variable`` are byte-identical (removals that never touch its
-    accesses) deduplicate to one CIRC run, and repeat audits answer
-    from the artifact cache.
-    """
-    from ..engine import BatchItem, run_batch
-    from ..lang.unparse import unparse
-
-    sites = _sync_sites(tdef)
-    items = [
-        BatchItem(
-            model="baseline",
-            source=unparse(program),
-            thread=tdef.name,
-            variables=(variable,),
-        )
-    ]
-    for n, (_, drop_atomic, drop_mutex) in enumerate(sites):
-        variant = _variant_program(program, tdef, drop_atomic, drop_mutex)
-        items.append(
-            BatchItem(
-                model=f"variant-{n}",
-                source=unparse(variant),
-                thread=tdef.name,
-                variables=(variable,),
-            )
-        )
-
-    report = run_batch(
-        items,
-        cache_dir=cache_dir,
-        workers=workers,
-        prefilter=use_prefilter,
-        **circ_options,
-    )
-    by_model = {row.model: row for row in report.rows}
-
-    baseline = by_model["baseline"]
-    if baseline.verdict != "safe":
-        raise ValueError(
-            f"the program already races on {variable!r}; "
-            "redundancy analysis needs a race-free baseline"
-            if baseline.verdict == "race"
-            else f"baseline verification undecided: {baseline.detail}"
-        )
-
-    findings: list[RedundancyFinding] = []
-    for n, (site, _, _) in enumerate(sites):
-        row = by_model[f"variant-{n}"]
-        if row.verdict == "safe":
-            detail = (
-                f"statically safe without it ({row.detail}; "
-                "no CIRC run needed)"
-                if row.source == "static"
-                else "program remains race-free without it"
-            )
-            findings.append(RedundancyFinding(site, True, detail))
-        elif row.verdict == "race":
-            n_threads = getattr(row.result, "n_threads", 0)
-            findings.append(
-                RedundancyFinding(
-                    site,
-                    False,
-                    f"removal introduces a race "
-                    f"({n_threads}-thread witness)",
-                )
-            )
-        else:
-            findings.append(
-                RedundancyFinding(site, False, f"undecided: {row.detail}")
-            )
-    return findings
-
-
 def find_redundant_sync(
     source: str,
     variable: str,
     thread: str | None = None,
     use_prefilter: bool = True,
-    engine: bool = False,
-    cache_dir: str | None = None,
-    workers: int | None = None,
     **circ_options,
 ) -> list[RedundancyFinding]:
     """Which synchronization constructs are unnecessary for race freedom
@@ -272,29 +183,11 @@ def find_redundant_sync(
     remaining synchronization alone discharges it -- the site is reported
     redundant without re-running CIRC.  Only removals that leave the
     variable ``must-check`` pay for a full verification.
-
-    With ``engine=True`` the baseline and every stripped variant are
-    submitted as one batch to the verification engine
-    (:mod:`repro.engine`): variants whose relevant slices coincide are
-    verified once, verdicts persist in the artifact cache under
-    ``cache_dir``, and independent variants run in parallel over
-    ``workers`` processes.
     """
     from ..static.classify import classify
 
     program = parse_program(source)
     tdef = program.thread(thread)
-
-    if engine:
-        return _find_redundant_engine(
-            program,
-            tdef,
-            variable,
-            use_prefilter,
-            cache_dir,
-            workers,
-            circ_options,
-        )
 
     def static_verdict(cfa):
         if not use_prefilter or variable not in cfa.globals:

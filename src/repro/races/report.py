@@ -299,7 +299,6 @@ def audit(
     cfa: CFA,
     name: str = "program",
     variables: Iterable[str] | None = None,
-    only_flagged: bool = False,
     **circ_options,
 ) -> AuditReport:
     """Run baselines + CIRC over the shared variables of ``cfa``."""
@@ -307,18 +306,12 @@ def audit(
     targets = sorted(variables) if variables else sorted(racy_variables(cfa))
     report = AuditReport(name=name)
     for var in targets:
-        warns = lockset.warns_on(var)
         entry = VariableAudit(
             variable=var,
-            lockset_warns=warns,
+            lockset_warns=lockset.warns_on(var),
             candidate_lockset=tuple(sorted(lockset.candidate.get(var, ()))),
             verdict="undecided",
         )
-        if only_flagged and not warns:
-            entry.verdict = "safe"
-            entry.detail = "lock discipline satisfied; CIRC skipped"
-            report.variables.append(entry)
-            continue
         start = time.perf_counter()
         result = circ(cfa, race_on=var, **circ_options)
         entry.elapsed_seconds = time.perf_counter() - start

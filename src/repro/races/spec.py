@@ -55,8 +55,6 @@ def check_race(
     variable: str,
     thread: str | None = None,
     prefilter: bool = False,
-    engine: bool = False,
-    cache_dir: str | None = None,
     **circ_options,
 ) -> CircResult:
     """Prove or refute race freedom on ``variable`` for unboundedly many
@@ -75,12 +73,8 @@ def check_race(
     only prunes variables it can prove safe -- but pruned variables skip
     the whole CEGAR loop.
 
-    With ``engine=True`` the query routes through the verification
-    engine (:mod:`repro.engine`) as a one-job batch: the
-    content-addressed artifact cache under ``cache_dir`` answers repeat
-    queries for byte-identical slices instantly and warm-starts
-    near-matches from cached predicates.  The verdict is unchanged (a
-    cache hit implies an identical lowered slice).
+    For the artifact cache, run the query through
+    :func:`repro.engine.verify_one` instead.
 
     On every path a CIRC run that gives up (a budget ran out, or a
     refinement stalled) returns a
@@ -88,19 +82,6 @@ def check_race(
     """
     cfa = _as_cfa(program, thread)
     cfa.require_global(variable)
-    if engine:
-        from ..engine import verify_one
-        from ..static.prefilter import prefilter_check
-
-        if prefilter:
-            from ..static.classify import classify
-
-            report = classify(cfa, [variable])
-            if report.verdict(variable).prunable:
-                return prefilter_check(cfa, variable, report)
-        return verify_one(
-            cfa, variable, cache_dir=cache_dir, **circ_options
-        )
     if prefilter:
         from ..static.prefilter import prefilter_check
 

@@ -9,8 +9,7 @@ splits a corpus across runs:
   driving ``python -m repro.shard.worker`` fleets over NDJSON pipes,
   with crash retry and an in-process completion guarantee;
 * :mod:`~repro.shard.worker` -- the worker process loop and the
-  parent's handle on one worker (also used by the portfolio's parallel
-  mode);
+  coordinator's handle on one worker;
 * :mod:`~repro.shard.merge` -- deterministic reconciliation of
   per-shard report-v1 payloads into one canonical report.
 

@@ -2,12 +2,12 @@
 
 Every job that leaves the parent process runs in this module's
 :func:`main` loop, in ``python -m repro.shard.worker`` or in a fork of a
-single-threaded parent (:meth:`Worker.spawn`): the batch fleet's jobs
-(:mod:`repro.shard.coordinator`) and the portfolio's parallel CIRC run
-(:mod:`repro.portfolio.driver`).  The parent drives each worker through
-a :class:`Worker` handle, with a pipe per direction, and speaks the
-serve daemon's framing (:func:`repro.serve.protocol.encode_frame` /
-``decode_frame``) with a three-op vocabulary:
+single-threaded parent (:meth:`Worker.spawn`).  Only the batch fleet's
+coordinator (:mod:`repro.shard.coordinator`) starts workers.  It drives
+each one through a :class:`Worker` handle, with a pipe per direction,
+and speaks the serve daemon's framing
+(:func:`repro.serve.protocol.encode_frame` / ``decode_frame``) with a
+three-op vocabulary:
 
 ``{"op": "hello", "worker": N, "cache_root": PATH?}``
     Session setup.  With a cache root, the worker warm-starts its SMT
@@ -27,7 +27,8 @@ serve daemon's framing (:func:`repro.serve.protocol.encode_frame` /
     (a locked read-merge-write, so concurrent workers accumulate) and
     replies ``{"frame": "bye", "tier_entries": K}`` before exiting.
 
-Cancelling a job kills the worker (:meth:`Worker.kill`); it is never
+A worker that dies mid-job or answers with anything but a result is
+killed (:meth:`Worker.kill`) and its job retried; a worker is never
 asked to stop mid-job.
 
 Crash injection for the retry tests rides in the payload: a
@@ -43,7 +44,6 @@ framing.
 from __future__ import annotations
 
 import os
-import select
 import signal
 import subprocess
 import sys
@@ -169,13 +169,6 @@ class Worker:
             if line:
                 return decode_frame(line)
         return None
-
-    def ready(self, timeout: float = 0.0) -> bool:
-        """Whether a frame (or EOF) is waiting, after waiting at most
-        ``timeout`` seconds.  The worker writes nothing between frames,
-        so the pipe's read buffer is empty whenever this is asked."""
-        assert self.proc is not None and self.proc.stdout is not None
-        return bool(select.select([self.proc.stdout], [], [], timeout)[0])
 
     def kill(self) -> None:
         """Kill and reap the process, and close its pipes.  Until

@@ -7,6 +7,7 @@ import pytest
 from repro.circ import circ
 from repro.circ.refine import RefinementFailure
 from repro.circ.result import CircUnknown
+from repro.engine import verify_one
 from repro.lang.lower import lower_source
 from repro.races.spec import check_race
 
@@ -34,7 +35,7 @@ ENTRY_POINTS = {
     "circ": lambda **kw: circ(lower_source(TAS), race_on="x", **kw),
     "check_race": lambda **kw: check_race(TAS, "x", **kw),
     "check_race-prefilter": lambda **kw: check_race(TAS, "x", prefilter=True, **kw),
-    "check_race-engine": lambda **kw: check_race(TAS, "x", engine=True, **kw),
+    "verify_one": lambda **kw: verify_one(lower_source(TAS), "x", **kw),
 }
 
 

@@ -1,8 +1,10 @@
 """Integration tests for the CIRC main loop on the paper's idioms."""
 
+import importlib
+
 import pytest
 
-from repro.circ import CircSafe, CircUnsafe, circ
+from repro.circ import CircError, CircSafe, CircUnsafe, circ
 from repro.exec import MultiProgram, replay
 from repro.lang import lower_source
 from repro.nesc.programs import TEST_AND_SET_SOURCE
@@ -61,6 +63,18 @@ def test_unprotected_counter_races():
     )
     assert not r.safe
     assert r.n_threads >= 2
+
+
+def test_counterexample_that_fails_replay_is_an_internal_error(monkeypatch):
+    """Every counterexample is replayed concretely before it is reported;
+    one that does not replay is a CircError, never a race verdict."""
+    circ_module = importlib.import_module("repro.circ.circ")
+    monkeypatch.setattr(circ_module, "replay", lambda *a, **kw: (False, None))
+    with pytest.raises(CircError, match="failed concrete replay"):
+        circ(
+            lower_source("global int x; thread m { while (1) { x = x + 1; } }"),
+            race_on="x",
+        )
 
 
 def test_lock_discipline_safe():

@@ -4,7 +4,13 @@ import importlib
 
 import pytest
 
-from repro.circ import CircUnknown, MultiSafe, MultiUnsafe, circ_multi
+from repro.circ import (
+    CircError,
+    CircUnknown,
+    MultiSafe,
+    MultiUnsafe,
+    circ_multi,
+)
 from repro.exec import MultiProgram, explore
 from repro.lang import lower_program, lower_source
 
@@ -59,6 +65,13 @@ def test_witness_replays_concretely():
 
     ok, _ = replay(mp, [(remap[t], e) for t, e in r.steps], race_on="buf")
     assert ok
+
+
+def test_witness_that_fails_replay_is_an_internal_error(monkeypatch):
+    multi = importlib.import_module("repro.circ.multi")
+    monkeypatch.setattr(multi, "replay", lambda *a, **kw: (False, None))
+    with pytest.raises(CircError, match="multi-template witness failed replay"):
+        circ_multi(lower_program(BROKEN), race_on="buf")
 
 
 def test_single_template_degenerates_to_symmetric():

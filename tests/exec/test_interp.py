@@ -246,10 +246,6 @@ def test_search_reports_how_it_ended():
     cfa = lower_source(UNPROTECTED)
     p = MultiProgram.symmetric(cfa, 2)
     assert breadth_first_search(p, lambda s: False, 10).ended == "budget"
-    cancelled = breadth_first_search(
-        p, lambda s: False, 10, should_stop=lambda: True
-    )
-    assert (cancelled.ended, cancelled.visited) == ("cancelled", 1)
     hit = breadth_first_search(
         p, lambda s: p.is_race_state(s, "x"), 10_000
     )

@@ -101,19 +101,6 @@ def test_check_requires_var(fig1_file, capsys):
     assert main(["check", fig1_file]) == 2
 
 
-def test_check_parallel_requires_portfolio(racy_file, capsys):
-    assert main(["check", racy_file, "--var", "x", "--parallel"]) == 2
-    assert "--parallel requires --portfolio" in capsys.readouterr().err
-
-
-def test_check_report_rejects_portfolio(racy_file, tmp_path, capsys):
-    report = str(tmp_path / "r.md")
-    argv = ["check", racy_file, "--var", "x", "--report", report]
-    assert main(argv + ["--portfolio", "--parallel"]) == 2
-    assert "--report does not combine with --portfolio" in capsys.readouterr().err
-    assert not (tmp_path / "r.md").exists()
-
-
 def test_explore_finds_race(racy_file, capsys):
     assert main(["explore", racy_file, "--var", "x", "--threads", "2"]) == 1
     assert "FOUND race" in capsys.readouterr().out
@@ -361,13 +348,6 @@ def test_portfolio_json_shares_report_schema(locked_file, capsys):
         }
 
 
-def test_check_portfolio_flag(fig1_file, capsys):
-    assert main(["check", fig1_file, "--var", "x", "--portfolio"]) == 0
-    out = capsys.readouterr().out
-    assert "x: SAFE" in out
-    assert "portfolio: won by circ" in out
-
-
 def test_batch_portfolio_flag(fig1_file, racy_file, tmp_path, capsys):
     code = main(
         ["batch", fig1_file, racy_file, "--var", "x", "--portfolio",
@@ -377,6 +357,49 @@ def test_batch_portfolio_flag(fig1_file, racy_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "portfolio:circ" in out  # fig1 decided by CIRC
     assert "portfolio:racer" in out  # racy decided by the racer
+
+
+def test_batch_portfolio_passes_variant_and_k_to_circ(
+    fig1_file, monkeypatch, capsys
+):
+    """``batch --portfolio`` is the portfolio's one command-line path
+    that takes CIRC's --variant and -k, and CIRC receives both."""
+    from repro.portfolio import driver
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return circ(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "circ", spy)
+    code = main(
+        ["batch", fig1_file, "--var", "x", "--portfolio", "--no-cache",
+         "--workers", "1", "--variant", "circ", "-k", "2"]
+    )
+    assert code == 0
+    assert "portfolio:circ" in capsys.readouterr().out
+    assert [(c["variant"], c["k"]) for c in calls] == [("circ", 2)]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("check", "--portfolio"),
+        ("check", "--parallel"),
+        ("portfolio", "--parallel"),
+        ("portfolio", "--no-cancel"),
+    ],
+)
+def test_retired_portfolio_flags_are_usage_errors(
+    racy_file, command, flag, capsys
+):
+    """The portfolio has one schedule and ``check`` runs CIRC alone: the
+    flags that once chose otherwise are rejected, never ignored."""
+    with pytest.raises(SystemExit) as exit_:
+        main([command, racy_file, "--var", "x", flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_exit_code_parity_across_frontends(
@@ -459,7 +482,8 @@ def test_nothing_to_check_is_a_usage_error(racy_file, command, capsys):
     """Given neither --var nor --errors, a search checks nothing: a usage
     error, never a clean result."""
     assert main([command, racy_file]) == 2
-    assert "nothing to check" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "nothing to check" in err and "--var" in err
 
 
 @pytest.mark.parametrize("command", ["explore", "simulate"])

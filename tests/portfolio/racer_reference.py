@@ -216,5 +216,4 @@ def racer_check(
         phase1_ms=phase1_ms,
         phase2_ms=phase2_ms,
         states_explored=states_total,
-        cancelled=stopped,
     )

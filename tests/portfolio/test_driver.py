@@ -1,9 +1,8 @@
 """Tests for the portfolio driver: cancellation, reconciliation, parity."""
 
-import os
-
 import pytest
 
+import repro.portfolio.driver as driver
 from repro.circ.circ import circ
 from repro.circ.result import CircSafe, CircUnsafe, CircUnknown
 from repro.engine.cache import ArtifactCache
@@ -17,8 +16,7 @@ from repro.portfolio.driver import (
     _validate_witness,
     run_portfolio,
 )
-from repro.portfolio.winrate import WinRateBook
-from repro.shard.worker import Worker
+from repro.portfolio.winrate import DEFAULT_ORDER, WinRateBook, shape_class
 from tests.exec.test_interp import forged_race
 
 FIG1 = """
@@ -40,44 +38,6 @@ LOCKED = (
     "global int m, x; "
     "thread t { while (1) { lock(m); x = x + 1; unlock(m); } }"
 )
-
-# The racer proves x safe in milliseconds; CIRC needs seconds.
-SLOW_FOR_CIRC = """
-global int x = 1;
-global int s;
-global int m;
-
-int pick(int a) {
-  if ((a > 0)) {
-    return a;
-  }
-}
-
-thread t0 {
-  atomic {
-    assert(*);
-    lock(m);
-    s = 2;
-    unlock(m);
-  }
-  local int l0;
-  atomic {
-    atomic {
-      if (*) {
-        local int l1 = 2;
-        s = pick((1 - x));
-        assert((x == 1));
-      }
-      l0 = pick(l1);
-    }
-    x = (1 - l1);
-  }
-  lock(m);
-  x = (1 - x);
-  unlock(m);
-  local int l2 = l0;
-}
-"""
 
 CORPUS = [("fig1", FIG1), ("racy", RACY), ("atomic", ATOMIC), ("locked", LOCKED)]
 
@@ -146,6 +106,65 @@ def test_no_cancel_runs_every_analysis():
     }
 
 
+def test_schedule_follows_default_order_without_a_book():
+    events = EventLog()
+    report = run_portfolio(
+        lower_source(RACY), "x", cancel=False, events=events, **BUDGET
+    )
+    assert [o.analysis for o in report.outcomes] == list(DEFAULT_ORDER)
+    (started,) = events.of_kind("portfolio_started")
+    assert started["order"] == list(DEFAULT_ORDER)
+
+
+def test_cancelled_analyses_never_start(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a cancelled analysis ran")
+
+    monkeypatch.setattr(driver, "circ", must_not_run)
+    events = EventLog()
+    report = run_portfolio(lower_source(LOCKED), "x", events=events, **BUDGET)
+    assert (report.verdict, report.winner) == ("safe", "racer")
+    assert report.cancelled == ("absint", "circ")
+    started = events.of_kind("portfolio_analysis_started")
+    assert [e["analysis"] for e in started] == ["racer"]
+
+
+def test_schedule_follows_the_books_order(tmp_path):
+    """Once the book has seen CIRC win a shape, CIRC runs first there,
+    and its proof cancels both baselines."""
+    cfa = lower_source(LOCKED)
+    book = WinRateBook(tmp_path / "winrates.json")
+    book.record(shape_class(cfa, "x"), "circ", True, 1.0)
+    report = run_portfolio(cfa, "x", winrates=book, **BUDGET)
+    assert [o.analysis for o in report.outcomes] == ["circ", "racer", "absint"]
+    assert (report.verdict, report.winner) == ("safe", "circ")
+    assert report.cancelled == ("racer", "absint")
+
+
+def test_book_records_only_the_analyses_that_ran(tmp_path):
+    book = WinRateBook(tmp_path / "winrates.json")
+    report = run_portfolio(lower_source(LOCKED), "x", winrates=book, **BUDGET)
+    assert report.cancelled == ("absint", "circ")
+    cells = WinRateBook(tmp_path / "winrates.json").counts[report.shape]
+    assert set(cells) == {"racer"}
+    assert (cells["racer"]["wins"], cells["racer"]["runs"]) == (1, 1)
+
+
+def test_baselines_share_one_phase1_analysis(monkeypatch):
+    calls = []
+    mhp_analysis = driver.mhp_analysis
+
+    def counted(cfa, *args, **kwargs):
+        calls.append(cfa)
+        return mhp_analysis(cfa, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "mhp_analysis", counted)
+    report = run_portfolio(lower_source(ATOMIC), "x", cancel=False, **BUDGET)
+    assert report.outcome("racer").verdict == "safe"
+    assert report.outcome("absint").verdict == "safe"
+    assert len(calls) == 1
+
+
 def test_conflicting_confident_verdicts_are_a_hard_error():
     safe = AnalysisOutcome(analysis="racer", verdict="safe", time_ms=1.0)
     race = AnalysisOutcome(analysis="circ", verdict="race", time_ms=1.0)
@@ -188,77 +207,6 @@ def test_to_circ_result_synthesis():
     race = run_portfolio(lower_source(RACY), "x", **BUDGET).to_circ_result()
     assert isinstance(race, CircUnsafe) and not race.safe
     assert race.n_threads >= 2
-
-
-def test_parallel_mode_two_way_cancellation():
-    report = run_portfolio(
-        lower_source(LOCKED), "x", source=LOCKED, parallel=True, **BUDGET
-    )
-    assert report.verdict == "safe"
-    # A confident baseline verdict kills the CIRC process (unless CIRC
-    # happened to answer first, in which case nothing was lost).
-    assert report.winner in ("racer", "absint", "circ")
-    report = run_portfolio(
-        lower_source(FIG1), "x", source=FIG1, parallel=True, **BUDGET
-    )
-    assert report.verdict == "safe"
-    assert report.winner == "circ"
-
-
-def test_cancelled_parallel_circ_worker_is_reaped():
-    events = EventLog()
-    report = run_portfolio(
-        lower_source(SLOW_FOR_CIRC),
-        "x",
-        source=SLOW_FOR_CIRC,
-        parallel=True,
-        events=events,
-    )
-    assert report.verdict == "safe" and "circ" in report.cancelled
-    (cancelled,) = [
-        e for e in events.of_kind("portfolio_cancelled")
-        if e["analysis"] == "circ"
-    ]
-    with pytest.raises(ProcessLookupError):
-        os.kill(cancelled["pid"], 0)
-
-
-def test_crashed_parallel_circ_worker_leaves_baselines_running(
-    monkeypatch,
-):
-    send = Worker.send
-
-    def send_and_crash(self, frame):
-        if frame.get("op") == "job":
-            payload = {**frame["payload"], "_test_kill_worker": True}
-            send(self, {**frame, "payload": payload})
-            self.proc.wait()  # the crash is visible before any baseline runs
-        else:
-            send(self, frame)
-
-    monkeypatch.setattr(Worker, "send", send_and_crash)
-    report = run_portfolio(
-        lower_source(RACY), "x", source=RACY, parallel=True, **BUDGET
-    )
-    assert report.verdict == "race" and report.winner == "racer"
-    (circ_outcome,) = [o for o in report.outcomes if o.analysis == "circ"]
-    assert circ_outcome.verdict == "unknown" and not circ_outcome.cancelled
-    assert "died" in circ_outcome.detail
-
-
-def test_parallel_portfolio_runs_serially_without_a_worker(monkeypatch):
-    def fail(self):
-        raise OSError("worker 0 failed its hello handshake")
-
-    monkeypatch.setattr(Worker, "spawn", fail)
-    events = EventLog()
-    report = run_portfolio(
-        lower_source(FIG1), "x", source=FIG1, parallel=True, events=events,
-        **BUDGET,
-    )
-    assert report.verdict == "safe"
-    assert [e["worker"] for e in events.of_kind("worker_failed")] == [0]
-    assert {o.analysis for o in report.outcomes} == {"racer", "absint", "circ"}
 
 
 def test_winrate_learning_reorders_schedule(tmp_path):

@@ -86,12 +86,6 @@ def test_every_pair_carries_a_status():
         assert ok
 
 
-def test_cancellation_yields_unknown():
-    r = racer_check(lower_source(FIG1), "x", should_stop=lambda: True)
-    assert r.verdict == "unknown"
-    assert r.cancelled
-
-
 def test_phase1_proof_reasons_name_the_kill_rule():
     r = racer_check(lower_source(ATOMIC), "x")
     reasons = {p.reason for p in r.pairs if p.status == "proved"}

@@ -5,8 +5,8 @@ the reference in ``racer_reference.py``, whose every thread-count round
 searches to its state budget, whatever witnesses earlier rounds found,
 and stores every ordering of the same thread states.  Both run at the
 default 3 threads and at ``MAX_STATES`` = 10,000 states, half the default
-budget.  The answer -- verdict, reason, witness, thread count and
-cancellation -- must be the reference's.  A pair's status may change
+budget.  The answer -- verdict, reason, witness and thread count --
+must be the reference's.  A pair's status may change
 only where the bound cut the search short: a pair the reference
 witnessed at 3 threads, with at least as many steps as the answer's
 witness, or left undecided, may become undecided with a reason that
@@ -120,7 +120,7 @@ def _run(name: str):
 
 
 def _answer(r) -> tuple:
-    return r.verdict, r.reason, r.witness, r.n_threads, r.cancelled
+    return r.verdict, r.reason, r.witness, r.n_threads
 
 
 @lru_cache(maxsize=None)

@@ -70,6 +70,12 @@ def test_racy_baseline_rejected():
         )
 
 
+def test_undecided_baseline_rejected():
+    # One refinement iteration cannot prove the test-and-set baseline.
+    with pytest.raises(ValueError, match="baseline verification undecided"):
+        find_redundant_sync(TEST_AND_SET, "x", max_iterations=1)
+
+
 def test_sites_render():
     findings = find_redundant_sync(BELT_AND_SUSPENDERS, "x")
     rendered = [str(f.site) for f in findings]
@@ -98,45 +104,3 @@ def test_prefilter_still_catches_necessary_sync():
     findings = find_redundant_sync(NECESSARY_ONLY, "x", use_prefilter=True)
     (atomic_f,) = by_kind(findings, "atomic")
     assert not atomic_f.redundant  # removal leaves must-check -> CIRC ran
-
-
-def test_engine_agrees_with_serial(tmp_path):
-    """The batched engine audit reaches the same redundancy verdicts as
-    the one-variant-at-a-time serial path."""
-    for source in (BELT_AND_SUSPENDERS, NECESSARY_ONLY, TEST_AND_SET):
-        serial = find_redundant_sync(source, "x")
-        batched = find_redundant_sync(
-            source,
-            "x",
-            engine=True,
-            cache_dir=str(tmp_path / "cache"),
-            workers=1,
-        )
-        assert [(str(f.site), f.redundant) for f in serial] == [
-            (str(f.site), f.redundant) for f in batched
-        ]
-
-
-def test_engine_rejects_racy_baseline(tmp_path):
-    with pytest.raises(ValueError):
-        find_redundant_sync(
-            "global int x; thread t { while (1) { x = x + 1; } }",
-            "x",
-            engine=True,
-            workers=1,
-        )
-
-
-def test_engine_repeat_audit_hits_cache(tmp_path):
-    """Re-auditing the same program answers every CIRC-decided variant
-    from the artifact cache."""
-    cache = str(tmp_path / "cache")
-    first = find_redundant_sync(
-        TEST_AND_SET, "x", engine=True, cache_dir=cache, workers=1
-    )
-    again = find_redundant_sync(
-        TEST_AND_SET, "x", engine=True, cache_dir=cache, workers=1
-    )
-    assert [(str(f.site), f.redundant) for f in first] == [
-        (str(f.site), f.redundant) for f in again
-    ]

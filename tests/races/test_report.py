@@ -40,12 +40,22 @@ def test_audit_restricted_variables():
     assert [v.variable for v in report.variables] == ["x"]
 
 
-def test_audit_only_flagged_skips_clean_variables():
+def test_audit_runs_circ_on_lock_disciplined_variables():
+    """A variable the lockset baseline does not warn on is still proved
+    by CIRC, not taken on the baseline's word."""
     src = "global int m, x; thread t { while (1) { lock(m); x = x + 1; unlock(m); } }"
-    report = audit(lower_source(src), only_flagged=True)
-    x_entry = next(v for v in report.variables if v.variable == "x")
-    assert x_entry.verdict == "safe"
-    assert "skipped" in x_entry.detail
+    report = audit(lower_source(src), variables=["x"])
+    (entry,) = report.variables
+    assert not entry.lockset_warns and entry.candidate_lockset == ("m",)
+    assert entry.verdict == "safe" and entry.acfa_size > 0
+
+
+def test_audit_budget_leaves_a_variable_undecided():
+    report = audit(lower_source(SAFE_SRC), variables=["x"], max_iterations=1)
+    (entry,) = report.variables
+    assert entry.verdict == "undecided"
+    assert entry.detail == "iteration budget of 1 exceeded"
+    assert not report.proved and not report.races
 
 
 def test_render_markdown_structure():
