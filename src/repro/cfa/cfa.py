@@ -173,25 +173,35 @@ class CFA:
     # -- access sets (Section 4.1) ----------------------------------------------
     #
     # Per-location sets, computed once, on first use: lowering builds a CFA
-    # it contracts right away, and nobody reads that one's sets.
+    # it contracts right away, and nobody reads that one's sets.  Equal
+    # sets are shared: most locations access nothing or one variable.
+
+    @cached_property
+    def _access_sets(self) -> dict[frozenset[str], frozenset[str]]:
+        return {}
+
+    def _shared(self, s: frozenset[str]) -> frozenset[str]:
+        return self._access_sets.setdefault(s, s)
 
     @cached_property
     def _writes(self) -> dict[int, frozenset[str]]:
         return {
-            q: frozenset().union(*(e.op.writes() for e in es))
+            q: self._shared(frozenset().union(*(e.op.writes() for e in es)))
             for q, es in self._out.items()
         }
 
     @cached_property
     def _reads(self) -> dict[int, frozenset[str]]:
         return {
-            q: frozenset().union(*(e.op.reads() for e in es))
+            q: self._shared(frozenset().union(*(e.op.reads() for e in es)))
             for q, es in self._out.items()
         }
 
     @cached_property
     def _accesses(self) -> dict[int, frozenset[str]]:
-        return {q: w | self._reads[q] for q, w in self._writes.items()}
+        return {
+            q: self._shared(w | self._reads[q]) for q, w in self._writes.items()
+        }
 
     def writes_at(self, q: int) -> frozenset[str]:
         """Variables some out-edge of ``q`` may write."""

@@ -1,9 +1,10 @@
 """Job planning: from batch items to a deduplicated verification worklist.
 
 The planner is the first stage of the engine pipeline
-(planner -> scheduler -> cache).  It lowers every batch item once,
-classifies its shared variables through the static pre-analysis
-(:mod:`repro.static`), and
+(planner -> scheduler -> cache).  It lowers every batch item once (the
+jobs it plans carry that CFA to in-process execution), classifies its
+shared variables through the static pre-analysis (:mod:`repro.static`),
+and
 
 * discharges ``local`` / ``read-shared`` / ``protected`` variables
   immediately as static proofs -- no job is spawned for them;
@@ -51,10 +52,13 @@ class Job:
     """One deduplicated verification task.
 
     ``aliases`` lists every (model, variable) query this job answers;
-    the first alias is the canonical one.  ``cfa``, when given, is the
-    already-lowered ``source`` for in-process runs, and ``store`` a
-    persistent :class:`~repro.reach.store.ArgStore` bound to it (the
-    serve daemon's hot context); neither ever leaves the process.
+    the first alias is the canonical one.  ``cfa`` is the lowered
+    ``source``: :func:`plan` sets it to the CFA it planned the job from,
+    so a job run in-process is never lowered again, and the serve daemon
+    replaces it with its hot context's CFA.  ``store`` is a persistent
+    :class:`~repro.reach.store.ArgStore` bound to that CFA (the daemon's
+    hot context).  Neither ever leaves the process: a fleet worker gets
+    ``source`` and ``thread`` and lowers them itself.
     """
 
     job_id: int
@@ -217,6 +221,7 @@ def plan(
                     digest=digest,
                     shape=shape,
                     options=options,
+                    cfa=cfa,
                 )
                 jobs_by_key[key] = job
             job.aliases.append((item.model, v))

@@ -53,12 +53,14 @@ def _run_job_payload(
     in-process).  Pure function of its payload; returns a JSON-ready
     result record and never raises.
 
-    The keyword-only parameters are in-process hooks: a job's
-    pre-lowered :attr:`~repro.engine.planner.Job.cfa` keeps its
-    long-lived :attr:`~repro.engine.planner.Job.store` bound (an
+    The keyword-only parameters are in-process hooks: ``cfa`` is the
+    job's :attr:`~repro.engine.planner.Job.cfa`, so the payload's source
+    is not lowered again, and it keeps a long-lived
+    :attr:`~repro.engine.planner.Job.store` bound (an
     :class:`~repro.reach.store.ArgStore` resets when bound to a new CFA
-    object), ``store`` is threaded into ``circ``, and ``events``
-    receives a portfolio job's events.  Fleet workers pass none of them.
+    object); ``store`` is threaded into ``circ``, and ``events``
+    receives a portfolio job's events.  Fleet workers pass none of them
+    and lower the payload's source.
     """
     start = time.perf_counter()
     variable = payload["variable"]

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 __all__ = ["Token", "LexError", "tokenize", "KEYWORDS"]
 
@@ -27,29 +28,25 @@ KEYWORDS = frozenset(
     }
 )
 
-_PUNCT = (
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "&",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "!",
-    "(",
-    ")",
-    "{",
-    "}",
-    ";",
-    ",",
+# Blanks, then one alternative per lexical class, tried in order; the last
+# catches any other character, so only blanks at the end of the input go
+# unmatched.  Comments come before the punctuation they start with.
+# Numbers and names are ASCII only.
+_MASTER = re.compile(
+    r"""
+    [ \t\r]*
+    (?:
+        (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>==|!=|<=|>=|&&|\|\||[&=<>+\-*%!(){};,]|/(?![/*]))
+      | (?P<newline>\n)
+      | (?P<num>[0-9]+)
+      | (?P<line_comment>//[^\n]*)
+      | (?P<block_comment>/\*.*?\*/)
+      | (?P<open_comment>/\*)
+      | (?P<bad>[^ \t\r])
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -57,8 +54,7 @@ class LexError(SyntaxError):
     """Raised on malformed input."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'num' | 'kw' | 'punct' | 'eof'
     text: str
     line: int
@@ -71,62 +67,43 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Tokenize source text; raises :class:`LexError` on bad characters."""
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
+    new = tuple.__new__  # what Token._make calls, minus a frame per token
     line = 1
-    col = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise LexError(f"unterminated comment at line {line}")
-            skipped = source[i : end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("num", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+    line_start = 0  # offset of the current line's first character
+    for m in _MASTER.finditer(source):
+        kind = m.lastgroup
+        if kind == "word":
+            text = m.group(kind)
+            col = m.start(kind) - line_start + 1
             kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+            append(new(Token, (kind, text, line, col)))
+        elif kind == "punct":
+            col = m.start(kind) - line_start + 1
+            append(new(Token, ("punct", m.group(kind), line, col)))
+        elif kind == "newline":
+            line += 1
+            line_start = m.end()
+        elif kind == "num":
+            col = m.start(kind) - line_start + 1
+            append(new(Token, ("num", m.group(kind), line, col)))
+        elif kind == "line_comment":
+            # A line comment does not advance the column, so the eof token
+            # after a final comment takes the comment's column; anywhere
+            # else the comment's newline follows and resets the column.
+            line_start += m.end() - m.start(kind)
+        elif kind == "block_comment":
+            text = m.group(kind)
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start(kind) + text.rfind("\n") + 1
+        elif kind == "open_comment":
+            raise LexError(f"unterminated comment at line {line}")
         else:
-            raise LexError(f"unexpected character {ch!r} at line {line}:{col}")
-    tokens.append(Token("eof", "", line, col))
+            col = m.start(kind) - line_start + 1
+            raise LexError(
+                f"unexpected character {m.group(kind)!r} at line {line}:{col}"
+            )
+    append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens

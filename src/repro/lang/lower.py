@@ -17,6 +17,7 @@ Mirrors BLAST's CIL frontend in miniature:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from ..smt import terms as T
 from ..smt.simplify import fold_constants
@@ -353,82 +354,88 @@ def _contract(cfa: CFA) -> CFA:
     atomic-block exits, keeping CFAs equal to the paper's hand-drawn
     figures.
     """
-    edges = list(cfa.edges)
-    q0 = cfa.q0
-    atomic = set(cfa.atomic)
-    error = set(cfa.error_locations)
+    atomic = cfa.atomic
+    error = cfa.error_locations
 
-    changed = True
-    while changed:
-        changed = False
-        out: dict[int, list[Edge]] = {}
-        for e in edges:
-            out.setdefault(e.src, []).append(e)
-        for u, outs in out.items():
-            if len(outs) != 1:
-                continue
-            e = outs[0]
-            v = e.dst
-            if u == v or u in error:
-                continue
-            if not isinstance(e.op, AssumeOp) or e.op.pred != T.TRUE:
-                continue
-            if e.lock_info is not None:
-                continue
-            if u not in atomic and v in atomic:
-                continue  # never acquire atomicity early
-            # Merge u into v.
-            new_edges = []
-            for other in edges:
-                if other is e:
-                    continue
-                src = v if other.src == u else other.src
-                dst = v if other.dst == u else other.dst
-                new_edges.append(Edge(src, other.op, dst, other.lock_info))
-            edges = new_edges
-            if q0 == u:
-                q0 = v
-            atomic.discard(u)
-            changed = True
-            break
+    # Merging u into v removes u's one out-edge and redirects u's in-edges
+    # to v, so every other edge keeps its source.  Merges therefore run,
+    # one at a time, on the contractible location whose first out-edge
+    # comes first in ``cfa.edges``, and a merge can change only whether
+    # the predecessors of u are contractible.  ``merged`` maps each merged
+    # location towards the one it was merged into.
+    merged: dict[int, int] = {}
 
-    # Reachability restriction.
-    succ: dict[int, list[int]] = {}
-    for e in edges:
-        succ.setdefault(e.src, []).append(e.dst)
-    reachable = {q0}
-    stack = [q0]
-    while stack:
-        q = stack.pop()
-        for nxt in succ.get(q, ()):
-            if nxt not in reachable:
-                reachable.add(nxt)
-                stack.append(nxt)
-    edges = [e for e in edges if e.src in reachable and e.dst in reachable]
+    def find(q: int) -> int:
+        root = q
+        while root in merged:
+            root = merged[root]
+        while q != root:  # path compression
+            merged[q], q = root, merged[q]
+        return root
 
-    # Renumber locations densely in BFS order from q0 for stable output.
-    order: list[int] = []
-    seen = {q0}
-    queue = [q0]
-    succs: dict[int, list[int]] = {}
-    for e in edges:
-        succs.setdefault(e.src, []).append(e.dst)
-    while queue:
-        q = queue.pop(0)
-        order.append(q)
-        for nxt in sorted(succs.get(q, ())):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    renum = {old: i for i, old in enumerate(order)}
+    out: dict[int, list[Edge]] = {}
+    preds: dict[int, list[int]] = {}
+    for e in cfa.edges:
+        out.setdefault(e.src, []).append(e)
+        preds.setdefault(e.dst, []).append(e.src)
+    first = {u: i for i, u in enumerate(out)}
+
+    def stutter_target(u: int) -> int | None:
+        """The location ``u`` contracts into, or None."""
+        outs = out[u]
+        if len(outs) != 1 or u in error:
+            return None
+        e = outs[0]
+        if e.lock_info is not None or not isinstance(e.op, AssumeOp):
+            return None
+        if e.op.pred != T.TRUE:
+            return None
+        v = find(e.dst)
+        if u == v or (u not in atomic and v in atomic):
+            return None  # never acquire atomicity early
+        return v
+
+    # Built in key order, so the list is already a heap.
+    heap = [(first[u], u) for u in out if stutter_target(u) is not None]
+    while heap:
+        u = heappop(heap)[1]
+        if u in merged:
+            continue
+        v = stutter_target(u)
+        if v is None:
+            continue
+        merged[u] = v
+        del out[u]
+        moved = preds.pop(u, [])
+        for w in moved:
+            if w in out and stutter_target(w) is not None:
+                heappush(heap, (first[w], w))
+        into = preds.setdefault(v, [])
+        if len(into) < len(moved):
+            into, moved = moved, into
+            preds[v] = into
+        into.extend(moved)
+
+    # Keep what q0 reaches, numbered densely in BFS order (successors in
+    # increasing order) for stable output.  Merged locations have no
+    # out-edges left and are no edge's target, so none is reached.
+    q0 = find(cfa.q0)
+    renum = {q0: 0}
+    order = [q0]
+    for q in order:
+        for nxt in sorted(find(e.dst) for e in out.get(q, ())):
+            if nxt not in renum:
+                renum[nxt] = len(order)
+                order.append(nxt)
 
     return CFA(
         name=cfa.name,
-        q0=renum[q0],
-        locations=renum.values(),
+        q0=0,
+        locations=range(len(order)),
         edges=[
-            Edge(renum[e.src], e.op, renum[e.dst], e.lock_info)
-            for e in edges
+            Edge(renum[e.src], e.op, renum[find(e.dst)], e.lock_info)
+            for e in cfa.edges
+            if e.src in renum
         ],
         atomic={renum[q] for q in atomic if q in renum},
         error_locations={renum[q] for q in error if q in renum},

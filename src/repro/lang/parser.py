@@ -46,6 +46,9 @@ class ParseError(SyntaxError):
     """Raised on grammatically invalid input."""
 
 
+_COMPARISONS = frozenset({"==", "!=", "<=", ">=", "<", ">"})
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -53,8 +56,11 @@ class _Parser:
 
     # -- token plumbing --------------------------------------------------------
 
+    # ``pos`` never moves past the final eof token, and ``peek(1)`` is only
+    # asked after the current token matched something other than eof.
+
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -63,23 +69,27 @@ class _Parser:
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
+        tok = self.accept(kind, text)
+        if tok is None:
+            tok = self.tokens[self.pos]
             want = text if text is not None else kind
             raise ParseError(
                 f"expected {want!r} but found {tok.text!r} "
                 f"at line {tok.line}:{tok.col}"
             )
-        return self.next()
+        return tok
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
-            return self.next()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
+            return None
+        if kind != "eof":
+            self.pos += 1
+        return tok
 
     # -- program structure -------------------------------------------------------
 
@@ -158,77 +168,8 @@ class _Parser:
 
     def statement(self) -> A.Stmt:
         tok = self.peek()
-        if self.at("punct", "{"):
-            return self.block()
-        if self.at("kw", "local"):
-            self.next()
-            self.expect("kw", "int")
-            pointer = self.accept("punct", "*") is not None
-            name = self.expect("ident").text
-            init = None
-            if self.accept("punct", "="):
-                init = self.expr()
-            self.expect("punct", ";")
-            return A.LocalDecl(name, init, pointer, tok.line)
-        if self.at("kw", "if"):
-            self.next()
-            self.expect("punct", "(")
-            cond = self.cond()
-            self.expect("punct", ")")
-            then = self.statement()
-            els = None
-            if self.accept("kw", "else"):
-                els = self.statement()
-            return A.If(cond, then, els, tok.line)
-        if self.at("kw", "while"):
-            self.next()
-            self.expect("punct", "(")
-            cond = self.cond()
-            self.expect("punct", ")")
-            body = self.statement()
-            return A.While(cond, body, tok.line)
-        if self.at("kw", "atomic"):
-            self.next()
-            return A.Atomic(self.block(), tok.line)
-        if self.at("kw", "assume") or self.at("kw", "assert"):
-            kw = self.next()
-            self.expect("punct", "(")
-            cond = self.cond()
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            cls = A.Assume if kw.text == "assume" else A.Assert
-            return cls(cond, tok.line)
-        if self.at("kw", "skip"):
-            self.next()
-            self.expect("punct", ";")
-            return A.Skip(tok.line)
-        if self.at("kw", "break"):
-            self.next()
-            self.expect("punct", ";")
-            return A.Break(tok.line)
-        if self.at("kw", "lock") or self.at("kw", "unlock"):
-            kw = self.next()
-            self.expect("punct", "(")
-            mutex = self.expect("ident").text
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            cls = A.Lock if kw.text == "lock" else A.Unlock
-            return cls(mutex, tok.line)
-        if self.at("kw", "return"):
-            self.next()
-            value = None
-            if not self.at("punct", ";"):
-                value = self.expr()
-            self.expect("punct", ";")
-            return A.Return(value, tok.line)
-        if self.at("punct", "*") and self.peek(1).kind == "ident":
-            self.next()
-            pointer = self.expect("ident").text
-            self.expect("punct", "=")
-            rhs = self.expr()
-            self.expect("punct", ";")
-            return A.DerefAssign(pointer, rhs, tok.line)
-        if self.at("ident"):
+        kind, text = tok.kind, tok.text
+        if kind == "ident":
             name = self.next().text
             if self.accept("punct", "="):
                 # Assignment, possibly from a call.
@@ -247,6 +188,78 @@ class _Parser:
             raise ParseError(
                 f"expected '=' or '(' after {name!r} at line {tok.line}"
             )
+        if kind == "punct":
+            if text == "{":
+                return self.block()
+            if text == "*" and self.peek(1).kind == "ident":
+                self.next()
+                pointer = self.expect("ident").text
+                self.expect("punct", "=")
+                rhs = self.expr()
+                self.expect("punct", ";")
+                return A.DerefAssign(pointer, rhs, tok.line)
+        elif kind == "kw":
+            if text == "local":
+                self.next()
+                self.expect("kw", "int")
+                pointer = self.accept("punct", "*") is not None
+                name = self.expect("ident").text
+                init = None
+                if self.accept("punct", "="):
+                    init = self.expr()
+                self.expect("punct", ";")
+                return A.LocalDecl(name, init, pointer, tok.line)
+            if text == "if":
+                self.next()
+                self.expect("punct", "(")
+                cond = self.cond()
+                self.expect("punct", ")")
+                then = self.statement()
+                els = None
+                if self.accept("kw", "else"):
+                    els = self.statement()
+                return A.If(cond, then, els, tok.line)
+            if text == "while":
+                self.next()
+                self.expect("punct", "(")
+                cond = self.cond()
+                self.expect("punct", ")")
+                body = self.statement()
+                return A.While(cond, body, tok.line)
+            if text == "atomic":
+                self.next()
+                return A.Atomic(self.block(), tok.line)
+            if text == "assume" or text == "assert":
+                self.next()
+                self.expect("punct", "(")
+                cond = self.cond()
+                self.expect("punct", ")")
+                self.expect("punct", ";")
+                cls = A.Assume if text == "assume" else A.Assert
+                return cls(cond, tok.line)
+            if text == "skip":
+                self.next()
+                self.expect("punct", ";")
+                return A.Skip(tok.line)
+            if text == "break":
+                self.next()
+                self.expect("punct", ";")
+                return A.Break(tok.line)
+            if text == "lock" or text == "unlock":
+                self.next()
+                self.expect("punct", "(")
+                mutex = self.expect("ident").text
+                self.expect("punct", ")")
+                self.expect("punct", ";")
+                cls = A.Lock if text == "lock" else A.Unlock
+                return cls(mutex, tok.line)
+            if text == "return":
+                self.next()
+                value = None
+                if not self.at("punct", ";"):
+                    value = self.expr()
+                self.expect("punct", ";")
+                return A.Return(value, tok.line)
         raise ParseError(
             f"unexpected token {tok.text!r} at line {tok.line}:{tok.col}"
         )
@@ -304,13 +317,13 @@ class _Parser:
         return self._maybe_comparison(expr)
 
     def _maybe_comparison(self, left: T.Term) -> T.Term:
-        for op in ("==", "!=", "<=", ">=", "<", ">"):
-            if self.at("punct", op):
-                self.next()
-                right = self.expr()
-                if not _is_arith(left):
-                    raise ParseError("comparison of a boolean expression")
-                return T.Cmp(op, left, right)
+        tok = self.peek()
+        if tok.kind == "punct" and tok.text in _COMPARISONS:
+            self.next()
+            right = self.expr()
+            if not _is_arith(left):
+                raise ParseError("comparison of a boolean expression")
+            return T.Cmp(tok.text, left, right)
         if _is_arith(left):
             # C truthiness: a bare arithmetic expression means `expr != 0`.
             return T.ne(left, T.num(0))

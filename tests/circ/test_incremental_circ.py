@@ -6,7 +6,7 @@ exploration statistics, while answering from the store's result memo,
 under plain CIRC and omega-CIRC alike.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.circ.circ import circ
@@ -23,14 +23,20 @@ SETTINGS = dict(
 seeds = st.integers(min_value=0, max_value=100_000)
 variants = st.sampled_from(("circ", "omega"))
 
-BUDGET = dict(max_outer=6, max_inner=40, timeout_s=20.0)
+# The iteration budget binds first: of 212 sampled runs, every one that
+# finished took at most 10 inner iterations, and seed 72396 under omega,
+# which needs more, completes its 12th in about 2 s on a 2-CPU machine
+# while its 14th alone takes about 13 s.  The wall clock stays as a
+# backstop for a single slow iteration.
+BUDGET = dict(max_outer=6, max_inner=40, max_iterations=12, timeout_s=20.0)
 
 
 def _run(cfa, race_on, **kwargs):
     """CIRC under ``BUDGET``; None when it gave up other than on its
-    wall-clock budget (such runs are not compared)."""
+    iteration budget.  Such runs are not compared: where the wall clock
+    cuts a run depends on the machine's speed."""
     result = circ(cfa, race_on=race_on, **BUDGET, **kwargs)
-    if result.unknown and not result.reason.startswith("wall-clock"):
+    if result.unknown and not result.reason.startswith("iteration budget"):
         return None
     return result
 
@@ -54,6 +60,7 @@ def _observables(result):
 
 @settings(**SETTINGS)
 @given(seeds, variants)
+@example(72396, "omega")  # its runs used to end on the wall clock
 def test_shared_store_across_repeated_runs_is_stable(seed, variant):
     """Re-verifying the same program against a warm store changes
     nothing observable and reports result-level reuse."""
@@ -61,8 +68,10 @@ def test_shared_store_across_repeated_runs_is_stable(seed, variant):
     cfa = lower_thread(gp.program, gp.thread)
     store = ArgStore()
     first = _run(cfa, gp.race_var, store=store, variant=variant)
+    if first is None:
+        return
     second = _run(cfa, gp.race_var, store=store, variant=variant)
-    if first is None or second is None:
+    if second is None:
         return
     assert _observables(second) == _observables(first)
     assert second.stats.reuse["result_hits"] > 0

@@ -1,9 +1,11 @@
 """End-to-end engine behavior: planning, caching, crash recovery."""
 
 import json
+import sys
 
 import pytest
 
+import repro.lang.lower as lower
 from repro.circ.circ import circ
 from repro.engine import (
     BatchItem,
@@ -12,6 +14,7 @@ from repro.engine import (
     run_batch,
     verify_one,
 )
+from repro.lang.lexer import LexError
 from repro.lang.lower import lower_source
 
 BELT = """
@@ -118,6 +121,31 @@ def test_rows_keep_input_order():
     assert [(r.model, r.variable) for r in report.rows] == [
         (item.model, v) for item in ITEMS for v in item.variables
     ]
+
+
+@pytest.mark.parametrize("portfolio", [False, True])
+def test_in_process_batch_lowers_each_program_once(monkeypatch, portfolio):
+    """The planner's CFA goes with each job, so a job run in-process
+    never lowers its program again."""
+    lowered = []
+    real = lower.lower_source
+
+    def counting(source, thread_name=None):
+        lowered.append(source)
+        return real(source, thread_name)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "lower_source", None) is real:
+            monkeypatch.setattr(module, "lower_source", counting)
+    report = run_batch(ITEMS, workers=1, portfolio=portfolio)
+    assert report.n_jobs == 3  # tas x, tas state and racy x reach a job
+    assert sorted(lowered) == sorted(item.source for item in ITEMS)
+
+
+def test_non_ascii_digit_is_a_lex_error_with_its_position():
+    source = "global int x;\nthread t {\n  x = ²;\n}\n"
+    with pytest.raises(LexError, match="unexpected character '²' at line 3:7"):
+        run_batch([BatchItem(model="sup", source=source)], workers=1)
 
 
 def test_budget_exhaustion_reports_unknown():

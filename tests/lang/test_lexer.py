@@ -69,3 +69,18 @@ def test_underscore_identifiers():
         ("ident", "x_1"),
         ("ident", "__a"),
     ]
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("x = ²;", "unexpected character '²' at line 1:5"),  # superscript two
+        ("x = ١;", "unexpected character '١' at line 1:5"),  # Arabic-Indic one
+        ("é = 1;", "unexpected character 'é' at line 1:1"),  # e acute
+        ("x\n  = 1²;", "unexpected character '²' at line 2:6"),
+    ],
+)
+def test_non_ascii_characters_are_lex_errors(source, message):
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    assert str(exc.value) == message

@@ -295,6 +295,22 @@ def test_parse_error_frame(tmp_path):
     assert err.exit_code == 2
 
 
+def test_non_ascii_digit_is_a_parse_error(tmp_path):
+    """A superscript two is not a number: the lexer rejects it with its
+    position, rather than int() failing on it later."""
+    source = "global int x;\nthread t { x = ²; }"
+
+    async def scenario(server, sock):
+        async with await ServeClient.connect(socket=sock) as c:
+            with pytest.raises(ServeError) as exc:
+                await c.submit([{"model": "sup", "source": source}])
+            return exc.value
+
+    err = with_server(tmp_path, scenario)
+    assert err.code == ErrorCode.PARSE_ERROR
+    assert "unexpected character '²' at line 2:16" in err.message
+
+
 def test_bad_request_frame(tmp_path):
     async def scenario(server, sock):
         async with await ServeClient.connect(socket=sock) as c:
