@@ -365,7 +365,8 @@ def _cmd_baselines(args) -> int:
 
 
 def _cmd_portfolio(args) -> int:
-    from .portfolio import PortfolioConflict, WinRateBook, run_portfolio
+    from .portfolio import PortfolioConflict, run_portfolio
+    from .portfolio.winrate import cache_book
     from .races.report import (
         render_rows_table,
         rows_from_portfolio,
@@ -384,11 +385,7 @@ def _cmd_portfolio(args) -> int:
     from .engine.events import EventLog
 
     cache = None if args.no_cache else ArtifactCache(args.cache)
-    book = (
-        WinRateBook(Path(args.cache) / "winrates.json")
-        if not args.no_cache
-        else None
-    )
+    book = None if args.no_cache else cache_book(args.cache)
     events = EventLog(args.events) if args.events else EventLog()
     options = _budget_options(args)
 
@@ -426,6 +423,8 @@ def _cmd_portfolio(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
+        if book is not None:
+            book.save()
         events.close()
     if args.json:
         import json

@@ -48,19 +48,23 @@ def _run_job_payload(
     cfa=None,
     store=None,
     events: EventLog | None = None,
+    books: dict,
 ) -> dict:
     """Execute one verification job (runs inside a worker process or
     in-process).  Pure function of its payload; returns a JSON-ready
     result record and never raises.
 
-    The keyword-only parameters are in-process hooks: ``cfa`` is the
-    job's :attr:`~repro.engine.planner.Job.cfa`, so the payload's source
-    is not lowered again, and it keeps a long-lived
+    ``cfa``, ``store`` and ``events`` are in-process hooks: ``cfa`` is
+    the job's :attr:`~repro.engine.planner.Job.cfa`, so the payload's
+    source is not lowered again, and it keeps a long-lived
     :attr:`~repro.engine.planner.Job.store` bound (an
     :class:`~repro.reach.store.ArgStore` resets when bound to a new CFA
     object); ``store`` is threaded into ``circ``, and ``events``
     receives a portfolio job's events.  Fleet workers pass none of them
-    and lower the payload's source.
+    and lower the payload's source.  ``books`` holds the caller's
+    :class:`~repro.portfolio.winrate.WinRateBook` per cache root: a
+    portfolio job records its outcomes in its root's book, opened on
+    first use, and the caller saves the books when its jobs are done.
     """
     start = time.perf_counter()
     variable = payload["variable"]
@@ -77,7 +81,7 @@ def _run_job_payload(
             options["initial_predicates"] = existing + seeds
         if options.pop("portfolio", False):
             result = _run_portfolio_job(
-                cfa, variable, payload, options, extras, events
+                cfa, variable, payload, options, extras, events, books
             )
         else:
             if store is not None:
@@ -108,26 +112,30 @@ def _run_job_payload(
     return record
 
 
-def _run_portfolio_job(cfa, variable, payload, options, extras, events):
+def _run_portfolio_job(cfa, variable, payload, options, extras, events, books):
     """Resolve one job through the analysis portfolio.
 
-    Every job opens the shared cache root's artifact cache and win-rate
-    book itself (blob reads/writes are atomic and checksummed, and the
-    book's save after each query is a locked read-merge-write), so warm
-    absint summaries and learned scheduling order carry from job to job,
-    in-process and across workers alike.
+    Every job opens the shared cache root's artifact cache itself (blob
+    reads/writes are atomic and checksummed), so warm absint summaries
+    carry from job to job, in-process and across workers alike.  The
+    win-rate book comes from the caller's ``books``: one per batch
+    in-process, one per fleet worker, so learned scheduling order
+    carries from job to job in memory and reaches the cache root when
+    the caller saves it.
     """
     # Imported here, not at module top: the portfolio package sits on
     # the engine's cache/events modules, so a top-level import would
     # close an import cycle through the engine package __init__.
     from ..portfolio.driver import PortfolioConflict, run_portfolio
-    from ..portfolio.winrate import WinRateBook
+    from ..portfolio.winrate import cache_book
 
     cache_root = payload.get("cache_root")
     cache = book = None
     if cache_root:
         cache = ArtifactCache(cache_root)
-        book = WinRateBook(os.path.join(cache_root, "winrates.json"))
+        if cache_root not in books:
+            books[cache_root] = cache_book(cache_root)
+        book = books[cache_root]
     try:
         report = run_portfolio(
             cfa, variable, cache=cache, winrates=book, events=events, **options
@@ -251,13 +259,23 @@ def _run_in_process(
     results: dict[tuple[str, str], JobResult],
 ) -> None:
     """Run (job, payload) pairs here, one after another.  In-process
-    execution cannot lose a job."""
-    for job, payload in work:
-        events.emit("job_started", job_id=job.job_id, mode="serial")
-        record = _run_job_payload(
-            payload, cfa=job.cfa, store=job.store, events=events
-        )
-        _finish(job, record, events, cache, results)
+    execution cannot lose a job.
+
+    The portfolio jobs of a cache root share one win-rate book, so each
+    job sees the outcomes of the jobs before it, and the book is saved
+    once, after the last job.
+    """
+    books: dict = {}
+    try:
+        for job, payload in work:
+            events.emit("job_started", job_id=job.job_id, mode="serial")
+            record = _run_job_payload(
+                payload, cfa=job.cfa, store=job.store, events=events, books=books
+            )
+            _finish(job, record, events, cache, results)
+    finally:
+        for book in books.values():
+            book.save()
 
 
 def execute(

@@ -16,7 +16,8 @@ win-rate book's order, and the driver enforces three contracts:
 * **Win-rate learning** -- every outcome is recorded in the
   :class:`~repro.portfolio.winrate.WinRateBook` per workload shape and
   emitted to the JSONL telemetry, and the book's learned order decides
-  which analysis runs first next time.
+  which analysis runs first next time.  The driver only records; the
+  caller that created the book saves it.
 
 Why cancellation preserves the CIRC-only verdict: a baseline is only
 allowed to cancel CIRC on a *confident* verdict, confident safety claims
@@ -257,7 +258,9 @@ def run_portfolio(
     the first confident verdict is recorded ``cancelled`` and not run;
     ``cancel=False`` runs every analysis to completion (the
     reconciliation test uses this to force maximal disagreement
-    surface).  Keyword options are forwarded to :func:`repro.circ.circ`.
+    surface).  Every analysis that ran is recorded in ``winrates``;
+    saving the book is its creator's job.  Keyword options are
+    forwarded to :func:`repro.circ.circ`.
     """
     cfa.require_global(variable)
     events = events or EventLog()
@@ -345,7 +348,6 @@ def run_portfolio(
                 winrates.record(
                     shape, o.analysis, o.analysis == winner, o.time_ms
                 )
-        winrates.save()
         events.emit(
             "portfolio_winrates",
             shape=shape,

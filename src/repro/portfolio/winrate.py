@@ -14,6 +14,13 @@ emitted into the JSONL telemetry (``portfolio_winrates`` events) so the
 engine's planner -- or a human reading the log -- can see which analysis
 earns its slot per workload shape.
 
+Whoever creates a book saves it, once, when its queries are done: the
+scheduler after a batch's last in-process job, a fleet worker in its
+shutdown flush, ``repro portfolio --cache`` after its last variable.
+:func:`repro.portfolio.driver.run_portfolio` only records, so each query
+still sees the counts of the queries before it in the same book, in
+memory.
+
 Concurrent writers -- daemon worker threads, parallel batch workers --
 share one book file.  A naive load/mutate/save cycle is last-writer-wins
 and silently drops every other writer's counts, so :meth:`save` is a
@@ -33,7 +40,7 @@ from pathlib import Path
 from ..cfa.cfa import CFA
 from ..util.locks import atomic_write_text, file_lock
 
-__all__ = ["WinRateBook", "shape_class", "DEFAULT_ORDER"]
+__all__ = ["WinRateBook", "cache_book", "shape_class", "DEFAULT_ORDER"]
 
 #: Static cost order: cheapest analysis first until the book learns better.
 DEFAULT_ORDER = ("racer", "absint", "circ")
@@ -135,13 +142,16 @@ class WinRateBook:
         read-merge-write cycle, so two processes saving concurrently
         serialize and neither clobbers the other's counts.  Platforms
         without ``fcntl`` skip the lock but keep the merge, which still
-        beats blind overwriting.
+        beats blind overwriting.  With no deltas recorded since the
+        last save there is nothing to merge, and the file is left alone.
         """
         if self.path is None:
             return
         with self._mutex:
             pending = self._pending
             self._pending = {}
+        if not pending:
+            return
         try:
             with file_lock(self.path.with_suffix(".lock")):
                 merged = (
@@ -173,3 +183,8 @@ class WinRateBook:
                         cell["runs"] += delta["runs"]
                         cell["wins"] += delta["wins"]
                         cell["total_ms"] += delta["total_ms"]
+
+
+def cache_book(cache_root: str | os.PathLike) -> WinRateBook:
+    """The win-rate book kept under an artifact cache root."""
+    return WinRateBook(Path(cache_root) / "winrates.json")

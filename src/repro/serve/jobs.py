@@ -310,7 +310,7 @@ class JobManager:
     def _execute(self, serve_job: ServeJob) -> JobResult:
         job = serve_job.job
         serve_job.state = "running"
-        ctx = self.hot.context_for(job.source, job.thread)
+        ctx = self.hot.context_for(job.source, job.thread, job.cfa)
         job.cfa, job.store = ctx.cfa, ctx.store
         job_events = EventLog(
             listener=lambda ev: self.loop.call_soon_threadsafe(

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from ..cfa.cfa import CFA
 from ..engine.cache import ArtifactCache
 from ..engine.events import EventLog
-from ..lang.lower import lower_source
 from ..reach.store import ArgStore
 from ..smt.qcache import SAT_CACHE
 
@@ -103,12 +102,12 @@ class HotState:
         h.update((thread or "").encode())
         return h.hexdigest()
 
-    def context_for(self, source: str, thread: str | None) -> HotContext:
-        """The hot context for a program, lowering it on first sight.
-
-        May raise whatever :func:`lower_source` raises on malformed
-        input; callers surface that as a ``PARSE_ERROR`` frame.
-        """
+    def context_for(
+        self, source: str, thread: str | None, cfa: CFA
+    ) -> HotContext:
+        """The hot context for a program; on first sight, a new one
+        holding ``cfa``, the program as the request's plan lowered it
+        (:attr:`~repro.engine.planner.Job.cfa`)."""
         key = self.context_key(source, thread)
         with self._mutex:
             ctx = self._contexts.get(key)
@@ -116,18 +115,10 @@ class HotState:
                 self._contexts.move_to_end(key)
                 self.context_hits += 1
                 return ctx
-        # Lower outside the mutex: lowering is pure and the worst case
-        # of a racing duplicate is one redundant lowering, not a stall
-        # of every worker behind a slow parse.
-        cfa = lower_source(source, thread)
-        ctx = HotContext(key=key, cfa=cfa, store=ArgStore())
-        with self._mutex:
-            existing = self._contexts.get(key)
-            if existing is not None:
-                self.context_hits += 1
-                return existing
             self.context_misses += 1
-            self._contexts[key] = ctx
+            ctx = self._contexts[key] = HotContext(
+                key=key, cfa=cfa, store=ArgStore()
+            )
         return ctx
 
     # -- eviction ------------------------------------------------------------

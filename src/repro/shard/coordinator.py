@@ -19,11 +19,13 @@ with the same artifact-cache discipline.  The topology:
    rest of the fleet (``shard_steal`` telemetry records every theft);
 4. a crashed worker's in-flight job **re-enters its bucket as if
    fresh** -- artifact writes are atomic, the shape index merges under
-   a lock, and the SMT tier only publishes on clean shutdown, so a
-   retry can never observe (or leave) a half-written artifact.  Jobs
-   that exhaust their retry budget, and jobs left over when every
-   worker is gone, run in-process through the scheduler's own loop: a
-   fleet run always completes with a full verdict table.
+   a lock, and the SMT tier and the win-rate book only publish on
+   clean shutdown, so a retry can never observe (or leave) a
+   half-written artifact; a crashed worker's tier entries and win-rate
+   counts are lost, never half-merged.  Jobs that exhaust their retry
+   budget, and jobs left over when every worker is gone, run in-process
+   through the scheduler's own loop: a fleet run always completes with
+   a full verdict table.
 
 Warm starts flow through the content-addressed layer, not through
 process memory: the coordinator publishes each finished job's artifact

@@ -24,8 +24,9 @@ three-op vocabulary:
 
 ``{"op": "shutdown"}``
     Drain: the worker merges its SMT verdicts into the shared warm tier
-    (a locked read-merge-write, so concurrent workers accumulate) and
-    replies ``{"frame": "bye", "tier_entries": K}`` before exiting.
+    and the counts its portfolio jobs recorded into the win-rate book
+    (each a locked read-merge-write, so concurrent workers accumulate),
+    then replies ``{"frame": "bye", "tier_entries": K}`` and exits.
 
 A worker that dies mid-job or answers with anything but a result is
 killed (:meth:`Worker.kill`) and its job retried; a worker is never
@@ -221,6 +222,7 @@ def main(stdin=None, out=None) -> int:
     from ..smt.qcache import SAT_CACHE
 
     cache_root: str | None = None
+    books: dict = {}  # win-rate books by cache root, saved at shutdown
     for line in stdin:
         line = line.strip()
         if not line:
@@ -250,7 +252,7 @@ def main(stdin=None, out=None) -> int:
             payload = dict(frame["payload"])
             if payload.pop("_test_kill_worker", False):
                 os._exit(137)  # simulate a crashed/OOM-killed worker
-            record = _run_job_payload(payload)
+            record = _run_job_payload(payload, books=books)
             _send(
                 out,
                 {
@@ -265,6 +267,8 @@ def main(stdin=None, out=None) -> int:
                 saved = SAT_CACHE.save(
                     ArtifactCache(cache_root).smt_tier_path()
                 )
+            for book in books.values():
+                book.save()
             _send(out, {"frame": "bye", "tier_entries": saved})
             return 0
         else:

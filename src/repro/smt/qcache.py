@@ -378,19 +378,19 @@ class QueryCache:
     # -- persistence ---------------------------------------------------------
 
     @staticmethod
-    def _read_entries(path: Path) -> dict[str, bool]:
+    def _read_entries(path: Path) -> dict[str, bool] | None:
         """The valid digest -> verdict entries persisted at ``path``
-        (empty on any failure mode: missing, undecodable, wrong format)."""
+        (None on any failure mode: missing, undecodable, wrong format)."""
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
-            return {}
+            return None
         if (
             not isinstance(payload, dict)
             or payload.get("format") != QCACHE_FORMAT
             or not isinstance(payload.get("entries"), dict)
         ):
-            return {}
+            return None
         return {
             digest: verdict
             for digest, verdict in payload["entries"].items()
@@ -407,8 +407,12 @@ class QueryCache:
         advisory ``flock``: re-read whatever other writers persisted
         meanwhile, fold our entries on top (verdicts are deterministic,
         so a key collision is always an agreement), and publish
-        atomically.  Returns the number of entries in the merged file;
-        a failed write never raises past a return of 0.
+        atomically.  A file that already holds every entry, with the
+        same verdict, is left as it is: replacing a file costs a data
+        flush on some filesystems, and a batch answered from the
+        artifact cache has nothing new to publish.  Returns the number
+        of entries in the merged file; a failed write never raises past
+        a return of 0.
         """
         from ..util.locks import atomic_write_text, file_lock
 
@@ -419,10 +423,12 @@ class QueryCache:
         path = Path(path)
         try:
             with file_lock(path.with_suffix(".lock")):
-                merged = self._read_entries(path)
+                on_disk = self._read_entries(path)
+                merged = dict(on_disk or {})
                 merged.update(entries)
-                body = {"format": QCACHE_FORMAT, "entries": merged}
-                atomic_write_text(path, json.dumps(body, sort_keys=True))
+                if merged != on_disk:
+                    body = {"format": QCACHE_FORMAT, "entries": merged}
+                    atomic_write_text(path, json.dumps(body, sort_keys=True))
         except OSError:
             return 0
         return len(merged)
@@ -434,7 +440,7 @@ class QueryCache:
         silent no-op: the warm tier is an accelerator, never a
         correctness dependency.
         """
-        entries = self._read_entries(Path(path))
+        entries = self._read_entries(Path(path)) or {}
         with self._lock:
             self._warm.update(entries)
         return len(entries)

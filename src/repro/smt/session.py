@@ -45,7 +45,7 @@ import threading
 
 from .cnf import AtomTable, _encode, nnf_of
 from . import lia
-from .linear import LinExpr, LinLe, linearize
+from .linear import LinExpr, LinLe
 from .sat import SAT, SatSolver
 from .solver import MAX_THEORY_ROUNDS, SmtResult
 from .terms import FALSE, TRUE, And, Cmp, Or, Term, free_vars
@@ -100,17 +100,16 @@ class Session:
         self._roots: dict[Term, tuple[int, tuple[int, ...]]] = {}
 
     def _atom_vars(self, nnf: Term) -> tuple[int, ...]:
-        """The table variables of every comparison atom in ``nnf``."""
+        """The table variables of every comparison atom in ``nnf``, which
+        must already be encoded: the encode cache maps each atom to its
+        table variable."""
+        encoded = self._encode_cache
         out: set[int] = set()
         stack = [nnf]
         while stack:
             t = stack.pop()
             if isinstance(t, Cmp):
-                out.add(
-                    self._table.var_for(
-                        linearize(t.lhs) - linearize(t.rhs)
-                    )
-                )
+                out.add(encoded[t])
             elif isinstance(t, (And, Or)):
                 stack.extend(t.args)
         return tuple(sorted(out))

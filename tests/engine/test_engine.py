@@ -2,10 +2,12 @@
 
 import json
 import sys
+from collections import Counter
 
 import pytest
 
 import repro.lang.lower as lower
+import repro.portfolio.winrate as winrate
 from repro.circ.circ import circ
 from repro.engine import (
     BatchItem,
@@ -16,6 +18,7 @@ from repro.engine import (
 )
 from repro.lang.lexer import LexError
 from repro.lang.lower import lower_source
+from repro.portfolio.winrate import WinRateBook
 
 BELT = """
 global int m, x;
@@ -315,3 +318,70 @@ def test_portfolio_conflict_downgrades_to_unknown(tmp_path, monkeypatch):
     (row,) = report.rows
     assert row.verdict == "unknown"
     assert "PORTFOLIO CONFLICT" in row.detail
+
+
+# -- what a batch writes ------------------------------------------------------------
+
+
+def test_batch_answered_from_the_cache_leaves_the_smt_tier_alone(tmp_path):
+    """A batch answered entirely from the artifact cache has no SMT
+    verdict to add, so the tier file is not replaced."""
+    run_batch(ITEMS, cache_dir=str(tmp_path), workers=1)
+    tier = tmp_path / "smt" / "qcache.json"
+    before = tier.stat()
+    report = run_batch(ITEMS, cache_dir=str(tmp_path), workers=1)
+    assert all(r.source in ("cache", "static") for r in report.rows)
+    after = tier.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def book_runs(path) -> Counter:
+    """Runs per analysis in the book at ``path``, over every shape."""
+    runs = Counter()
+    for cells in WinRateBook(path).counts.values():
+        for analysis, cell in cells.items():
+            runs[analysis] += cell["runs"]
+    return runs
+
+
+def test_in_process_portfolio_batch_saves_its_book_once(tmp_path, monkeypatch):
+    """The jobs of one batch share one win-rate book, replaced once after
+    the last job, and it holds a run for every analysis that ran."""
+    writes = []
+    real = winrate.atomic_write_text
+
+    def counting(path, text):
+        writes.append(path)
+        real(path, text)
+
+    monkeypatch.setattr(winrate, "atomic_write_text", counting)
+    events = EventLog()
+    report = run_batch(
+        ITEMS, cache_dir=str(tmp_path), workers=1, prefilter=False,
+        portfolio=True, events=events,
+    )
+    assert report.n_jobs == 4
+    assert writes == [tmp_path / "winrates.json"]
+    ran = Counter(e["analysis"] for e in events.of_kind("portfolio_analysis_finished"))
+    assert book_runs(tmp_path / "winrates.json") == ran
+    assert sum(ran.values()) >= report.n_jobs
+
+
+def test_fleet_portfolio_batch_keeps_every_jobs_runs_in_the_book(tmp_path):
+    """Each of two workers records its jobs in its own book and merges it
+    into the file at shutdown: no job's runs are lost."""
+    events = EventLog()
+    report = run_batch(
+        ITEMS, cache_dir=str(tmp_path), workers=2, prefilter=False,
+        portfolio=True, events=events,
+    )
+    assert not [e for e in events.of_kind("job_started") if e["mode"] == "serial"]
+    finished = events.of_kind("job_finished")
+    assert len(finished) == report.n_jobs == 4
+    ran = Counter(
+        analysis
+        for e in finished
+        for analysis in e["portfolio_ms"]
+        if analysis not in e["portfolio_cancelled"]
+    )
+    assert book_runs(tmp_path / "winrates.json") == ran

@@ -145,6 +145,7 @@ def test_book_records_only_the_analyses_that_ran(tmp_path):
     book = WinRateBook(tmp_path / "winrates.json")
     report = run_portfolio(lower_source(LOCKED), "x", winrates=book, **BUDGET)
     assert report.cancelled == ("absint", "circ")
+    book.save()  # run_portfolio only records; the book's creator saves
     cells = WinRateBook(tmp_path / "winrates.json").counts[report.shape]
     assert set(cells) == {"racer"}
     assert (cells["racer"]["wins"], cells["racer"]["runs"]) == (1, 1)
@@ -219,7 +220,8 @@ def test_winrate_learning_reorders_schedule(tmp_path):
     # of the baselines that keep abstaining.
     order = book.order("atomic/small")
     assert order[0] == "circ"
-    # And the book survives a reload.
+    # And the book survives a reload, once its creator saves it.
+    book.save()
     reloaded = WinRateBook(tmp_path / "winrates.json")
     assert reloaded.order("atomic/small")[0] == "circ"
 

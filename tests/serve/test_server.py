@@ -6,8 +6,11 @@ its clients inside one ``asyncio.run`` via :func:`with_server`.
 
 import asyncio
 import importlib
+import sys
 
 import pytest
+
+import repro.lang.lower as lower
 
 from repro.engine import BatchItem, run_batch
 from repro.nesc.programs import BENCHMARKS, TEST_AND_SET_SOURCE
@@ -153,7 +156,9 @@ def test_jobs_of_one_program_share_its_hot_store(tmp_path, monkeypatch):
                 [{"model": "fig1", "source": TEST_AND_SET_SOURCE}]
             )
             stats = await c.stats()
-        hot = server.hot.context_for(TEST_AND_SET_SOURCE, None)
+        hot = server.hot.context_for(
+            TEST_AND_SET_SOURCE, None, lower.lower_source(TEST_AND_SET_SOURCE)
+        )
         return result, stats, hot.store
 
     result, stats, hot_store = with_server(tmp_path, scenario)
@@ -164,6 +169,29 @@ def test_jobs_of_one_program_share_its_hot_store(tmp_path, monkeypatch):
     assert len(stores) == 2
     assert all(store is hot_store for store in stores)
     assert stats["hot"]["context_hits"] >= 1
+
+
+def test_a_new_program_is_lowered_once(tmp_path, monkeypatch):
+    """The request's plan lowers a new program and puts the CFA on its
+    job; the new hot context adopts that CFA instead of lowering again."""
+    lowered = []
+    real = lower.lower_source
+
+    def counting(source, thread_name=None):
+        lowered.append(source)
+        return real(source, thread_name)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "lower_source", None) is real:
+            monkeypatch.setattr(module, "lower_source", counting)
+
+    async def scenario(server, sock):
+        async with await ServeClient.connect(socket=sock) as c:
+            return await c.submit([{"model": "racy", "source": RACY}])
+
+    result = with_server(tmp_path, scenario)
+    assert [r["verdict"] for r in result["rows"]] == ["race"]
+    assert lowered == [RACY]
 
 
 def test_second_daemon_answers_repeat_from_artifact_cache(tmp_path):
