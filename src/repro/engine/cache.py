@@ -2,14 +2,27 @@
 
 Layout (everything under one cache root, safe to delete at any time)::
 
-    objects/<dd>/<digest>.json   full artifact: verdict + predicates + ACFA
-    shapes/<dd>/<shape>.json     warm-start index: predicates by slice shape
+    objects/<dd>/<key>.json   full artifact: verdict + predicates + ACFA,
+                              by slice digest (the scheduler, after a job)
+    shapes/<dd>/<key>.json    warm-start index: predicates by slice shape
+                              (the scheduler, with each object)
+    smt/qcache.json           persistent SMT verdict tier (run_batch,
+                              fleet workers and the serve daemon, when
+                              it gains entries)
+    winrates.json             the portfolio's win-rate book (portfolio
+                              jobs and ``repro portfolio --cache``)
+    absint/<key>.json         blob: abstract-interpretation summary by
+                              slice digest (the portfolio's absint)
+    plans/<key>.json          blob: one batch item's plan by source text
+                              (the planner, see repro.engine.planner)
 
-Entries are keyed by the slice digest of :mod:`repro.engine.digest`, so a
+Verdicts are keyed by the slice digest of :mod:`repro.engine.digest`, so a
 hit *means* the lowered slice relevant to the variable is byte-identical
 to the one verified before -- renaming files, editing unrelated threads,
 reformatting, or rewriting the expressions of statements on irrelevant
-variables all still hit.
+variables all still hit.  The plan index is keyed by source text
+instead, since it stands in for the lowering that computes the digest:
+any edit misses it, and the digests it plans afresh still hit.
 
 Robustness rules:
 
@@ -175,10 +188,14 @@ class ArtifactCache:
     # -- generic blobs -------------------------------------------------------
 
     def _blob_path(self, kind: str, key: str) -> Path:
+        # One directory per namespace, without the objects' two-character
+        # fan-out: a batch writes a plan entry per new program, and on a
+        # disk where each directory creation costs about as much as the
+        # file's own creation and rename, the fan-out doubled that cost.
         digest = hashlib.sha256(
             f"{CACHE_FORMAT}\nblob\n{kind}\n{key}".encode()
         ).hexdigest()
-        return self.root / kind / digest[:2] / f"{digest}.json"
+        return self.root / kind / f"{digest}.json"
 
     def get_blob(self, kind: str, key: str) -> Any | None:
         """Look up an auxiliary analysis artifact (e.g. an abstract-
@@ -187,18 +204,17 @@ class ArtifactCache:
         Blobs get the same robustness discipline as verdict objects --
         checksummed payloads, corruption treated as a miss with the file
         quarantined -- but none of the verdict-specific schema: the
-        payload is arbitrary JSON owned by the storing analysis.
+        payload is arbitrary JSON owned by the storing analysis.  Blob
+        lookups are not counted in :meth:`stats`, which counts verdict
+        objects.
         """
         path = self._blob_path(kind, key)
         payload = self._read_checked(path, field="data")
         if payload is None:
-            self.misses += 1
             return None
         if payload.get("format") != CACHE_FORMAT or payload.get("key") != key:
             self._quarantine(path)
-            self.misses += 1
             return None
-        self.hits += 1
         return payload["data"]
 
     def put_blob(self, kind: str, key: str, data: Any) -> None:
@@ -299,6 +315,7 @@ class ArtifactCache:
             pass
 
     def stats(self) -> dict[str, int]:
+        """Verdict-object hits and misses, and every file quarantined."""
         return {
             "hits": self.hits,
             "misses": self.misses,

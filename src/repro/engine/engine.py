@@ -78,8 +78,11 @@ def run_batch(
 ) -> BatchReport:
     """Verify every (model, variable) query of ``items``.
 
-    ``cache_dir=None`` disables persistence (every job computes);
-    ``events`` may be an :class:`EventLog` or a path for JSONL output.
+    ``cache_dir=None`` disables persistence (every job computes, and
+    every item is lowered and classified); with a cache, the planner
+    reads each item through the cache's plan index.  ``events`` may be
+    an :class:`EventLog` or a path for JSONL output, which this call
+    opens and closes.
     Keyword options are forwarded to :func:`repro.circ.circ` and are
     part of the cache key.
 
@@ -99,87 +102,94 @@ def run_batch(
     ``repro-race merge-reports``.
     """
     start = time.perf_counter()
-    if isinstance(events, str):
-        events = EventLog(events)
-    events = events or EventLog()
-    cache = ArtifactCache(cache_dir) if cache_dir is not None else None
+    # A log this call opens is closed however the batch ends.
+    owned = EventLog(events) if isinstance(events, str) else None
+    events = owned or events or EventLog()
+    try:
+        cache = ArtifactCache(cache_dir) if cache_dir is not None else None
 
-    if shard_id is not None and shards is None:
-        raise ValueError("shard_id requires shards")
-    if shard_workers is not None:
-        if workers is not None and workers != shard_workers:
-            raise ValueError(
-                f"workers={workers} and shard_workers={shard_workers} "
-                "name the same setting"
-            )
-        workers = shard_workers
+        if shard_id is not None and shards is None:
+            raise ValueError("shard_id requires shards")
+        if shard_workers is not None:
+            if workers is not None and workers != shard_workers:
+                raise ValueError(
+                    f"workers={workers} and shard_workers={shard_workers} "
+                    "name the same setting"
+                )
+            workers = shard_workers
 
-    events.emit("batch_started", items=len(items))
-    if cache is not None:
-        warmed = SAT_CACHE.load(cache.smt_tier_path())
-        if warmed:
-            events.emit("smt_warm_start", entries=warmed)
-    the_plan = plan(
-        items, options=circ_options, events=events, prefilter=prefilter
-    )
-
-    jobs = the_plan.jobs
-    if shard_id is not None:
-        from ..shard.partition import filter_shard
-
-        jobs, foreign = filter_shard(jobs, shards, shard_id)
-        events.emit(
-            "shard_filtered",
-            shards=shards,
-            shard_id=shard_id,
-            owned=len(jobs),
-            foreign=len(foreign),
+        events.emit("batch_started", items=len(items))
+        if cache is not None:
+            warmed = SAT_CACHE.load(cache.smt_tier_path())
+            if warmed:
+                events.emit("smt_warm_start", entries=warmed)
+        the_plan = plan(
+            items,
+            options=circ_options,
+            events=events,
+            prefilter=prefilter,
+            cache=cache,
         )
-    results = execute(
-        jobs,
-        cache=cache,
-        events=events,
-        workers=workers,
-        # A dry-run shard owns one bucket of its partition, so the fleet
-        # buckets its jobs afresh.
-        shards=shards if shard_id is None else None,
-    )
 
-    by_query = {(r.model, r.variable): r for r in the_plan.done}
-    by_query.update(results)
-    rows = [by_query[key] for key in the_plan.order if key in by_query]
+        jobs = the_plan.jobs
+        if shard_id is not None:
+            from ..shard.partition import filter_shard
 
-    n_deduped = sum(len(j.aliases) - 1 for j in jobs)
-    report = BatchReport(
-        rows=rows,
-        wall_ms=(time.perf_counter() - start) * 1000.0,
-        n_jobs=len(jobs),
-        n_static=len(the_plan.done),
-        n_deduped=n_deduped,
-        cache_stats=cache.stats() if cache is not None else {},
-    )
-    if cache is not None:
-        saved = SAT_CACHE.save(cache.smt_tier_path())
-        if saved:
-            events.emit("smt_tier_saved", entries=saved)
-    events.emit(
-        "smt_stats",
-        **{f"qcache_{k}": v for k, v in SAT_CACHE.stats().items()},
-        **{f"smt_{k}": v for k, v in PROFILER.totals().items()},
-    )
-    events.emit(
-        "batch_summary",
-        rows=len(report.rows),
-        jobs=report.n_jobs,
-        static=report.n_static,
-        deduped=report.n_deduped,
-        races=len(report.races),
-        unknown=len(report.unknown),
-        wall_ms=round(report.wall_ms, 3),
-        **{f"cache_{k}": v for k, v in report.cache_stats.items()},
-    )
-    events.close()
-    return report
+            jobs, foreign = filter_shard(jobs, shards, shard_id)
+            events.emit(
+                "shard_filtered",
+                shards=shards,
+                shard_id=shard_id,
+                owned=len(jobs),
+                foreign=len(foreign),
+            )
+        results = execute(
+            jobs,
+            cache=cache,
+            events=events,
+            workers=workers,
+            # A dry-run shard owns one bucket of its partition, so the fleet
+            # buckets its jobs afresh.
+            shards=shards if shard_id is None else None,
+        )
+
+        by_query = {(r.model, r.variable): r for r in the_plan.done}
+        by_query.update(results)
+        rows = [by_query[key] for key in the_plan.order if key in by_query]
+
+        n_deduped = sum(len(j.aliases) - 1 for j in jobs)
+        report = BatchReport(
+            rows=rows,
+            wall_ms=(time.perf_counter() - start) * 1000.0,
+            n_jobs=len(jobs),
+            n_static=len(the_plan.done),
+            n_deduped=n_deduped,
+            cache_stats=cache.stats() if cache is not None else {},
+        )
+        if cache is not None:
+            saved = SAT_CACHE.save(cache.smt_tier_path())
+            if saved:
+                events.emit("smt_tier_saved", entries=saved)
+        events.emit(
+            "smt_stats",
+            **{f"qcache_{k}": v for k, v in SAT_CACHE.stats().items()},
+            **{f"smt_{k}": v for k, v in PROFILER.totals().items()},
+        )
+        events.emit(
+            "batch_summary",
+            rows=len(report.rows),
+            jobs=report.n_jobs,
+            static=report.n_static,
+            deduped=report.n_deduped,
+            races=len(report.races),
+            unknown=len(report.unknown),
+            wall_ms=round(report.wall_ms, 3),
+            **{f"cache_{k}": v for k, v in report.cache_stats.items()},
+        )
+        return report
+    finally:
+        if owned is not None:
+            owned.close()
 
 
 def verify_one(

@@ -31,6 +31,7 @@ import os
 import time
 from typing import Iterable, Sequence
 
+from ..cfa.cfa import CFA
 from ..circ.circ import circ
 from ..circ.result import CircResult, CircStats, CircUnknown
 from ..lang.lower import lower_source
@@ -263,14 +264,22 @@ def _run_in_process(
 
     The portfolio jobs of a cache root share one win-rate book, so each
     job sees the outcomes of the jobs before it, and the book is saved
-    once, after the last job.
+    once, after the last job.  Jobs planned from the plan index carry no
+    CFA; the jobs of one program share its one lowering here.
     """
     books: dict = {}
+    lowered: dict[tuple[str, str | None], CFA] = {}
     try:
         for job, payload in work:
             events.emit("job_started", job_id=job.job_id, mode="serial")
+            cfa = job.cfa
+            if cfa is None:
+                key = (job.source, job.thread)
+                if key not in lowered:
+                    lowered[key] = lower_source(job.source, job.thread)
+                cfa = lowered[key]
             record = _run_job_payload(
-                payload, cfa=job.cfa, store=job.store, events=events, books=books
+                payload, cfa=cfa, store=job.store, events=events, books=books
             )
             _finish(job, record, events, cache, results)
     finally:

@@ -176,9 +176,11 @@ class Abstractor:
         literals: set[tuple[int, bool]] = set()
         base = list(parts)
         # The whole sweep probes the same base conjunction: share one
-        # ConjunctionContext so the base's Gaussian/FM elimination runs
-        # once instead of 2|P| times.  Observable behavior (cache keys,
-        # hit counts, verdicts) is identical to the per-query path.
+        # ConjunctionContext so the base's canonical key and normalised
+        # constraints are computed once instead of 2|P| times.  A cache
+        # miss still solves base plus literal from scratch.  Observable
+        # behavior (cache keys, hit counts, verdicts) is identical to the
+        # per-query path.
         base_lits = _flatten_conjunction(base)
         ctx = (
             ConjunctionContext(base_lits)

@@ -89,6 +89,46 @@ def test_corrupt_shape_entry_returns_no_seeds(tmp_path):
     assert not shape_file.exists()
 
 
+def _stored_blob(tmp_path, key="k1", data=None):
+    cache = ArtifactCache(tmp_path)
+    cache.put_blob("absint", key, data or {"verdict": "safe", "n": [1, 2]})
+    (blob_file,) = (tmp_path / "absint").rglob("*.json")
+    return cache, blob_file
+
+
+def _assert_quarantined_then_healed(cache, blob_file, key="k1"):
+    assert cache.get_blob("absint", key) is None
+    assert not blob_file.exists()
+    assert cache.stats() == {"hits": 0, "misses": 0, "corrupt": 1}
+    cache.put_blob("absint", key, {"verdict": "race"})
+    assert cache.get_blob("absint", key) == {"verdict": "race"}
+
+
+def test_truncated_blob_is_a_miss_and_heals(tmp_path):
+    cache, blob_file = _stored_blob(tmp_path)
+    blob_file.write_text(blob_file.read_text()[:30])
+    _assert_quarantined_then_healed(cache, blob_file)
+
+
+def test_blob_checksum_mismatch_is_a_miss_and_heals(tmp_path):
+    cache, blob_file = _stored_blob(tmp_path)
+    payload = json.loads(blob_file.read_text())
+    payload["data"]["verdict"] = "race"  # tamper without fixing checksum
+    blob_file.write_text(json.dumps(payload))
+    _assert_quarantined_then_healed(cache, blob_file)
+
+
+def test_blob_under_another_key_is_a_miss_and_heals(tmp_path):
+    """A well-formed blob at another key's path (a copied or misplaced
+    file) never answers for that key."""
+    cache, other = _stored_blob(tmp_path, key="k2")
+    blob_file = cache._blob_path("absint", "k1")
+    blob_file.parent.mkdir(parents=True, exist_ok=True)
+    blob_file.write_text(other.read_text())
+    _assert_quarantined_then_healed(cache, blob_file)
+    assert cache.get_blob("absint", "k2") == {"verdict": "safe", "n": [1, 2]}
+
+
 def test_unsafe_result_round_trips(tmp_path):
     cache = ArtifactCache(tmp_path)
     unsafe = CircUnsafe(

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import repro.engine.engine as engine_module
 import repro.lang.lower as lower
 import repro.portfolio.winrate as winrate
 from repro.circ.circ import circ
@@ -17,6 +18,7 @@ from repro.engine import (
     verify_one,
 )
 from repro.lang.lexer import LexError
+from repro.lang.parser import ParseError
 from repro.lang.lower import lower_source
 from repro.portfolio.winrate import WinRateBook
 
@@ -127,9 +129,10 @@ def test_rows_keep_input_order():
 
 
 @pytest.mark.parametrize("portfolio", [False, True])
-def test_in_process_batch_lowers_each_program_once(monkeypatch, portfolio):
+def test_in_process_batch_lowers_each_program_once(monkeypatch, tmp_path, portfolio):
     """The planner's CFA goes with each job, so a job run in-process
-    never lowers its program again."""
+    never lowers its program again; jobs planned from the plan index,
+    which carry no CFA, share one lowering of their program."""
     lowered = []
     real = lower.lower_source
 
@@ -143,6 +146,14 @@ def test_in_process_batch_lowers_each_program_once(monkeypatch, portfolio):
     report = run_batch(ITEMS, workers=1, portfolio=portfolio)
     assert report.n_jobs == 3  # tas x, tas state and racy x reach a job
     assert sorted(lowered) == sorted(item.source for item in ITEMS)
+
+    # Options are not in the plan key: after a batch in the other mode,
+    # every plan is read from the index and every verdict misses.
+    run_batch(ITEMS, cache_dir=str(tmp_path), workers=1, portfolio=not portfolio)
+    lowered.clear()
+    report = run_batch(ITEMS, cache_dir=str(tmp_path), workers=1, portfolio=portfolio)
+    assert report.cache_stats["misses"] == 3
+    assert sorted(lowered) == sorted([TAS, RACY])  # belt's x is static
 
 
 def test_non_ascii_digit_is_a_lex_error_with_its_position():
@@ -202,6 +213,32 @@ def test_events_jsonl_written(tmp_path):
     assert "job_planned" in kinds
     assert "batch_summary" in kinds
     assert all("t" in e for e in lines)
+
+
+@pytest.mark.parametrize(
+    "item, error",
+    [
+        (BatchItem("sup", "global int x;\nthread t {\n  x = ²;\n}\n"), LexError),
+        (BatchItem("open", "global int x;\nthread t {\n  x = 1;\n"), ParseError),
+        (BatchItem("racy", RACY, variables=("nope",)), ValueError),
+    ],
+)
+def test_events_file_closed_when_planning_raises(tmp_path, monkeypatch, item, error):
+    opened, closed = [], []
+
+    class Recorded(EventLog):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    monkeypatch.setattr(engine_module, "EventLog", Recorded)
+    with pytest.raises(error):
+        run_batch([item], events=str(tmp_path / "events.jsonl"), workers=1)
+    assert opened and closed == opened
 
 
 def test_verify_one_uses_cache(tmp_path):
