@@ -2,19 +2,31 @@
 
 Layout (everything under one cache root, safe to delete at any time)::
 
-    objects/<dd>/<key>.json   full artifact: verdict + predicates + ACFA,
-                              by slice digest (the scheduler, after a job)
-    shapes/<dd>/<key>.json    warm-start index: predicates by slice shape
-                              (the scheduler, with each object)
-    smt/qcache.json           persistent SMT verdict tier (run_batch,
-                              fleet workers and the serve daemon, when
-                              it gains entries)
-    winrates.json             the portfolio's win-rate book (portfolio
-                              jobs and ``repro portfolio --cache``)
-    absint/<key>.json         blob: abstract-interpretation summary by
-                              slice digest (the portfolio's absint)
-    plans/<key>.json          blob: one batch item's plan by source text
-                              (the planner, see repro.engine.planner)
+    objects/<name>.json   full artifact: verdict + predicates + ACFA, by
+                          slice digest and options (the scheduler, after
+                          a job)
+    shapes/<name>.json    warm-start index: predicates by slice shape and
+                          options (the scheduler, with each object)
+    absint/<name>.json    blob: abstract-interpretation summary by slice
+                          digest (the portfolio's absint)
+    plans/<name>.json     blob: one batch item's plan by source text (the
+                          planner, see repro.engine.planner)
+    smt/qcache.json       persistent SMT verdict tier (run_batch, once a
+                          job runs and the tier gains entries; fleet
+                          workers and the serve daemon)
+    winrates.json         the portfolio's win-rate book (portfolio jobs
+                          and ``repro portfolio --cache``)
+
+Each namespace is one flat directory: ``<name>`` is a SHA-256 of the
+format version, the namespace and the entry's key fields.  Every file of
+the four namespaces has the same two-line format::
+
+    {"format":"circ-cache-v2","namespace":...,<key fields>,"sha256":...}
+    <the payload as one line of compact JSON>
+
+The header names the entry's key fields (``digest`` and ``options_fp``
+for objects, ``shape`` and ``options_fp`` for shapes, ``key`` for
+blobs) and the SHA-256 of the payload line's bytes.
 
 Verdicts are keyed by the slice digest of :mod:`repro.engine.digest`, so a
 hit *means* the lowered slice relevant to the variable is byte-identical
@@ -28,11 +40,14 @@ Robustness rules:
 
 * writes are atomic (unique temp file + ``os.replace``) so a killed
   process -- or a concurrent writer -- never leaves a half-written
-  object visible, and a torn write can never trip the
-  checksum-quarantine path;
-* every object embeds a checksum of its payload; reads verify it and
-  treat any mismatch, decode error, or schema violation as a **miss**
-  (the corrupt file is unlinked so the slot heals on the next store);
+  file visible, and a torn write can never trip the quarantine path;
+* every read hashes the payload bytes it read and compares them with
+  the header's checksum, and checks the header's format and key fields
+  against the lookup; any mismatch, truncation, undecodable header or
+  payload is a **miss**, and the file is unlinked (quarantined) so the
+  slot heals on the next store;
+* a file of an earlier format sits at a path this format never
+  computes, so it is never read (a miss, not a quarantine);
 * concurrent writers may race on the same object/blob key -- last
   ``os.replace`` wins, which is fine because both wrote equivalent
   artifacts for the same content digest;
@@ -54,7 +69,7 @@ from typing import Any
 
 from ..circ.result import CircResult
 from ..smt import terms as T
-from ..util.locks import atomic_write_text, file_lock
+from ..util.locks import atomic_write_bytes, file_lock
 from .artifacts import (
     ArtifactError,
     result_from_obj,
@@ -66,10 +81,27 @@ from .artifacts import (
 __all__ = ["CacheEntry", "ArtifactCache"]
 
 #: Bump when the on-disk entry format changes.
-CACHE_FORMAT = "circ-cache-v1"
+CACHE_FORMAT = "circ-cache-v2"
 
 #: Warm-start seeds kept per shape after merging concurrent writers.
 MAX_SHAPE_PREDICATES = 32
+
+#: The namespaces of verdict objects and of the warm-start index.
+OBJECTS = "objects"
+SHAPES = "shapes"
+
+_COMPACT = (",", ":")
+
+
+def _header(namespace: str, fields: dict[str, str], line: bytes) -> dict:
+    """The header of ``namespace``'s entry keyed by ``fields`` whose
+    payload line is ``line``."""
+    return {
+        "format": CACHE_FORMAT,
+        "namespace": namespace,
+        **fields,
+        "sha256": hashlib.sha256(line).hexdigest(),
+    }
 
 
 @dataclass
@@ -79,15 +111,6 @@ class CacheEntry:
     digest: str
     result: CircResult
     options_fp: str
-
-
-def _payload_checksum(payload: Any) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _atomic_write(path: Path, data: str) -> None:
-    atomic_write_text(path, data)
 
 
 class ArtifactCache:
@@ -101,23 +124,10 @@ class ArtifactCache:
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
+        self._root = os.fspath(root)
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
-
-    # -- storage keys --------------------------------------------------------
-
-    def _object_path(self, digest: str, options_fp: str) -> Path:
-        key = hashlib.sha256(
-            f"{CACHE_FORMAT}\n{digest}\n{options_fp}".encode()
-        ).hexdigest()
-        return self.root / "objects" / key[:2] / f"{key}.json"
-
-    def _shape_path(self, shape: str, options_fp: str) -> Path:
-        key = hashlib.sha256(
-            f"{CACHE_FORMAT}\nshape\n{shape}\n{options_fp}".encode()
-        ).hexdigest()
-        return self.root / "shapes" / key[:2] / f"{key}.json"
 
     def smt_tier_path(self) -> Path:
         """Where the persistent SMT verdict tier lives under this root.
@@ -132,22 +142,15 @@ class ArtifactCache:
 
     def get(self, digest: str, options_fp: str = "") -> CacheEntry | None:
         """Look up a verdict by slice digest; None on miss or corruption."""
-        path = self._object_path(digest, options_fp)
-        payload = self._read_checked(path)
-        if payload is None:
-            self.misses += 1
-            return None
-        if (
-            payload.get("format") != CACHE_FORMAT
-            or payload.get("digest") != digest
-        ):
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        try:
-            result = result_from_obj(payload["result"])
-        except (ArtifactError, KeyError):
-            self._quarantine(path)
+        fields = {"digest": digest, "options_fp": options_fp}
+        payload = self._read(OBJECTS, fields)
+        result = None
+        if payload is not None:
+            try:
+                result = result_from_obj(payload)
+            except (ArtifactError, KeyError):
+                self._quarantine(self._path(OBJECTS, fields))
+        if result is None:
             self.misses += 1
             return None
         self.hits += 1
@@ -173,29 +176,13 @@ class ArtifactCache:
             self._put_shape(shape, options_fp, result.predicates)
         if getattr(result, "unknown", False):
             return
-        body = {
-            "format": CACHE_FORMAT,
-            "digest": digest,
-            "options_fp": options_fp,
-            "result": result_to_obj(result),
-        }
-        body["checksum"] = _payload_checksum(body["result"])
-        _atomic_write(
-            self._object_path(digest, options_fp),
-            json.dumps(body, sort_keys=True, indent=1),
+        self._write(
+            OBJECTS,
+            {"digest": digest, "options_fp": options_fp},
+            result_to_obj(result),
         )
 
     # -- generic blobs -------------------------------------------------------
-
-    def _blob_path(self, kind: str, key: str) -> Path:
-        # One directory per namespace, without the objects' two-character
-        # fan-out: a batch writes a plan entry per new program, and on a
-        # disk where each directory creation costs about as much as the
-        # file's own creation and rename, the fan-out doubled that cost.
-        digest = hashlib.sha256(
-            f"{CACHE_FORMAT}\nblob\n{kind}\n{key}".encode()
-        ).hexdigest()
-        return self.root / kind / f"{digest}.json"
 
     def get_blob(self, kind: str, key: str) -> Any | None:
         """Look up an auxiliary analysis artifact (e.g. an abstract-
@@ -208,28 +195,11 @@ class ArtifactCache:
         lookups are not counted in :meth:`stats`, which counts verdict
         objects.
         """
-        path = self._blob_path(kind, key)
-        payload = self._read_checked(path, field="data")
-        if payload is None:
-            return None
-        if payload.get("format") != CACHE_FORMAT or payload.get("key") != key:
-            self._quarantine(path)
-            return None
-        return payload["data"]
+        return self._read(kind, {"key": key})
 
     def put_blob(self, kind: str, key: str, data: Any) -> None:
         """Store an auxiliary analysis artifact (atomic, checksummed)."""
-        body = {
-            "format": CACHE_FORMAT,
-            "kind": kind,
-            "key": key,
-            "data": data,
-        }
-        body["checksum"] = _payload_checksum(body["data"])
-        _atomic_write(
-            self._blob_path(kind, key),
-            json.dumps(body, sort_keys=True, indent=1),
-        )
+        self._write(kind, {"key": key}, data)
 
     # -- warm-start index ----------------------------------------------------
 
@@ -246,71 +216,73 @@ class ArtifactCache:
         follow, capped at :data:`MAX_SHAPE_PREDICATES` so the seed set
         stays a warm start rather than a predicate dump.
         """
-        path = self._shape_path(shape, options_fp)
+        fields = {"shape": shape, "options_fp": options_fp}
         fresh = [term_to_obj(p) for p in predicates]
-        with file_lock(path.with_suffix(".lock")):
-            existing: list = []
-            payload = self._read_checked(path, field="predicates")
-            if payload is not None and payload.get("shape") == shape:
-                existing = list(payload["predicates"])
+        path = self._path(SHAPES, fields)
+        with file_lock(os.path.splitext(path)[0] + ".lock"):
+            existing = self._read(SHAPES, fields) or []
             merged = fresh + [o for o in existing if o not in fresh]
-            merged = merged[:MAX_SHAPE_PREDICATES]
-            body = {
-                "format": CACHE_FORMAT,
-                "shape": shape,
-                "predicates": merged,
-            }
-            body["checksum"] = _payload_checksum(body["predicates"])
-            _atomic_write(
-                path, json.dumps(body, sort_keys=True, indent=1)
-            )
+            self._write(SHAPES, fields, merged[:MAX_SHAPE_PREDICATES])
 
     def seed_predicates(
         self, shape: str, options_fp: str = ""
     ) -> tuple[T.Term, ...]:
         """Warm-start predicates for a slice shape; () when unknown."""
-        path = self._shape_path(shape, options_fp)
-        payload = self._read_checked(path, field="predicates")
-        if payload is None or payload.get("shape") != shape:
+        fields = {"shape": shape, "options_fp": options_fp}
+        payload = self._read(SHAPES, fields)
+        if payload is None:
             return ()
         try:
-            return tuple(
-                term_from_obj(p) for p in payload["predicates"]
-            )
+            return tuple(term_from_obj(p) for p in payload)
         except (ArtifactError, KeyError):
-            self._quarantine(path)
+            self._quarantine(self._path(SHAPES, fields))
             return ()
 
     # -- shared plumbing -----------------------------------------------------
 
-    def _read_checked(
-        self, path: Path, field: str = "result"
-    ) -> dict | None:
-        """Read + checksum-verify one cache file; None (and quarantine)
-        on any failure mode: missing, unreadable, undecodable, wrong
-        shape, checksum mismatch."""
+    def _path(self, namespace: str, fields: dict[str, str]) -> str:
+        """The one file of ``namespace`` that holds the entry keyed by
+        ``fields``."""
+        name = hashlib.sha256(
+            "\n".join((CACHE_FORMAT, namespace, *fields.values())).encode()
+        ).hexdigest()
+        return os.path.join(self._root, namespace, name + ".json")
+
+    def _write(self, namespace: str, fields: dict[str, str], payload: Any) -> None:
+        """Publish ``payload`` as ``namespace``'s entry keyed by ``fields``:
+        the header line, then the payload serialized once."""
+        line = json.dumps(payload, separators=_COMPACT).encode()
+        head = json.dumps(_header(namespace, fields, line), separators=_COMPACT)
+        atomic_write_bytes(
+            self._path(namespace, fields), b"%s\n%s\n" % (head.encode(), line)
+        )
+
+    def _read(self, namespace: str, fields: dict[str, str]) -> Any | None:
+        """The decoded payload of ``namespace``'s entry keyed by
+        ``fields``; None when there is none, and None (with the file
+        quarantined) when the file is not exactly a header line naming
+        this format and these fields, then a payload line whose bytes
+        hash to the header's checksum."""
+        path = self._path(namespace, fields)
         try:
-            raw = path.read_text()
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except OSError:
             return None
         try:
-            payload = json.loads(raw)
+            head, line, rest = raw.split(b"\n", 2)
+            if rest or json.loads(head) != _header(namespace, fields, line):
+                raise ValueError("not this entry")
+            return json.loads(line)
         except ValueError:
             self._quarantine(path)
             return None
-        if not isinstance(payload, dict):
-            self._quarantine(path)
-            return None
-        if _payload_checksum(payload.get(field)) != payload.get("checksum"):
-            self._quarantine(path)
-            return None
-        return payload
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: str) -> None:
         """Drop a corrupt entry so the slot recomputes and heals."""
         self.corrupt += 1
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
 

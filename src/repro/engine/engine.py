@@ -12,8 +12,9 @@ A batch run:
    static lattice proves safe without spawning any work;
 2. answers byte-identical slices from the content-addressed cache and
    warm-starts near-matches from the shape index;
-3. runs the remaining jobs on the worker fleet with budgets and crash
-   recovery, or in-process with one worker;
+3. loads the persistent SMT tier, if some job remains, and runs the
+   remaining jobs on the worker fleet with budgets and crash recovery,
+   or in-process with one worker;
 4. emits JSONL telemetry throughout and returns a :class:`BatchReport`
    whose rows are ordered exactly like the input queries.
 """
@@ -84,7 +85,10 @@ def run_batch(
     an :class:`EventLog` or a path for JSONL output, which this call
     opens and closes.
     Keyword options are forwarded to :func:`repro.circ.circ` and are
-    part of the cache key.
+    part of the cache key.  The cache's persistent SMT tier is loaded
+    just before the first job the cache cannot answer, and saved after
+    the batch only if it was loaded: a batch answered entirely by the
+    cache and static proofs neither reads nor writes it.
 
     ``workers`` is the number of worker processes (``None``: one per
     CPU; either way capped by the jobs the cache cannot answer).  More
@@ -119,10 +123,15 @@ def run_batch(
             workers = shard_workers
 
         events.emit("batch_started", items=len(items))
-        if cache is not None:
+        tier_loaded = False
+
+        def load_tier() -> None:
+            nonlocal tier_loaded
+            tier_loaded = True
             warmed = SAT_CACHE.load(cache.smt_tier_path())
             if warmed:
                 events.emit("smt_warm_start", entries=warmed)
+
         the_plan = plan(
             items,
             options=circ_options,
@@ -151,6 +160,7 @@ def run_batch(
             # A dry-run shard owns one bucket of its partition, so the fleet
             # buckets its jobs afresh.
             shards=shards if shard_id is None else None,
+            before_run=load_tier if cache is not None else None,
         )
 
         by_query = {(r.model, r.variable): r for r in the_plan.done}
@@ -166,7 +176,7 @@ def run_batch(
             n_deduped=n_deduped,
             cache_stats=cache.stats() if cache is not None else {},
         )
-        if cache is not None:
+        if tier_loaded:
             saved = SAT_CACHE.save(cache.smt_tier_path())
             if saved:
                 events.emit("smt_tier_saved", entries=saved)

@@ -71,6 +71,9 @@ class Job:
     persistent :class:`~repro.reach.store.ArgStore` bound to that CFA
     (the daemon's hot context).  Neither ever leaves the process: a fleet
     worker gets ``source`` and ``thread`` and lowers them itself.
+    ``options_fp`` is :func:`options_fingerprint` of ``options``: the
+    planner passes the one it computed for the batch, and a job built
+    without it computes its own.
     """
 
     job_id: int
@@ -83,6 +86,11 @@ class Job:
     aliases: list[tuple[str, str]] = field(default_factory=list)
     cfa: CFA | None = None
     store: ArgStore | None = None
+    options_fp: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.options_fp:
+            self.options_fp = options_fingerprint(self.options)
 
 
 @dataclass
@@ -333,6 +341,7 @@ def plan(
                     shape=p.shape,
                     options=options,
                     cfa=cfa,
+                    options_fp=fp,
                 )
                 jobs_by_key[(p.digest, fp)] = job
             job.aliases.append((item.model, v))

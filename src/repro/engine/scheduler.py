@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..cfa.cfa import CFA
 from ..circ.circ import circ
@@ -38,7 +38,7 @@ from ..lang.lower import lower_source
 from .artifacts import result_from_obj, result_to_obj, term_from_obj, term_to_obj
 from .cache import ArtifactCache
 from .events import EventLog
-from .planner import Job, JobResult, _verdict_of, options_fingerprint
+from .planner import Job, JobResult, _verdict_of
 
 __all__ = ["execute"]
 
@@ -211,12 +211,7 @@ def _finish(
     else:
         source = "circ-warm" if record.get("warm") else "circ"
     if cache is not None:
-        cache.put(
-            job.digest,
-            result,
-            options_fingerprint(job.options),
-            shape=job.shape,
-        )
+        cache.put(job.digest, result, job.options_fp, shape=job.shape)
     reuse = result.stats.reuse or {}
     events.emit(
         "job_finished",
@@ -247,7 +242,7 @@ def _warm_seeds(job: Job, cache: ArtifactCache | None, events: EventLog) -> tupl
     """Warm-start predicates for ``job`` from the cache's shape index."""
     if cache is None:
         return ()
-    seeds = cache.seed_predicates(job.shape, options_fingerprint(job.options))
+    seeds = cache.seed_predicates(job.shape, job.options_fp)
     if seeds:
         events.emit("warm_start", job_id=job.job_id, n_predicates=len(seeds))
     return seeds
@@ -293,6 +288,7 @@ def execute(
     events: EventLog | None = None,
     workers: int | None = None,
     shards: int | None = None,
+    before_run: Callable[[], None] | None = None,
 ) -> dict[tuple[str, str], JobResult]:
     """Run a worklist to completion; returns results per (model, variable).
 
@@ -300,14 +296,15 @@ def execute(
     capped by the number of cache misses.  More than one worker runs the
     misses on the worker fleet, partitioned into ``shards`` digest
     buckets (default: two per worker, so stealing has work to move); one
-    worker runs them in-process.
+    worker runs them in-process.  ``before_run`` is called once before
+    the first job the cache cannot answer runs, and never when the cache
+    answers every job.
     """
     events = events or EventLog()
     results: dict[tuple[str, str], JobResult] = {}
     pending: list[Job] = []
     for job in jobs:
-        fp = options_fingerprint(job.options)
-        entry = cache.get(job.digest, fp) if cache is not None else None
+        entry = cache.get(job.digest, job.options_fp) if cache is not None else None
         if entry is not None:
             events.emit(
                 "cache_hit",
@@ -322,6 +319,8 @@ def execute(
 
     if not pending:
         return results
+    if before_run is not None:
+        before_run()
 
     if workers is None:
         workers = os.cpu_count() or 1

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..engine.events import EventLog
-from ..engine.planner import Job, JobResult, options_fingerprint
+from ..engine.planner import Job, JobResult
 from ..engine.scheduler import execute
 from ..races.report import REPORT_SCHEMA, ReportRow
 from ..smt.qcache import LruCache
@@ -228,8 +228,7 @@ class JobManager:
     ) -> str:
         """Route one planner job; returns its disposition
         (``new`` | ``dedup`` | ``completed`` | ``quota``)."""
-        fp = options_fingerprint(job.options)
-        key = (job.digest, fp)
+        key = (job.digest, job.options_fp)
 
         answer = self.completed.get(key)
         if answer is not None:

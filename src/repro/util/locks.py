@@ -31,7 +31,7 @@ try:  # advisory file locking is POSIX-only; degrade gracefully elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
-__all__ = ["file_lock", "atomic_write_text"]
+__all__ = ["file_lock", "atomic_write_bytes", "atomic_write_text"]
 
 
 @contextmanager
@@ -56,7 +56,13 @@ def file_lock(path: str | os.PathLike):
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Publish ``text`` at ``path`` atomically (temp file + replace).
+    """Publish ``text`` at ``path`` atomically, UTF-8 encoded (see
+    :func:`atomic_write_bytes`)."""
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
+    """Publish ``data`` at ``path`` atomically (temp file + replace).
 
     The temp file gets a unique name, so even unserialized concurrent
     writers can never interleave bytes -- the last ``os.replace`` wins
@@ -66,8 +72,8 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -1,6 +1,7 @@
 """Artifact cache behavior: hits, misses, corruption recovery."""
 
 import json
+from contextlib import contextmanager
 
 from repro.circ import circ
 from repro.circ.result import CircSafe, CircStats, CircUnsafe
@@ -30,6 +31,17 @@ def safe_result(var="x", preds=()):
 PRED = T.Cmp("==", T.Var("state"), T.IntConst(1))
 
 
+@contextmanager
+def tampered(path):
+    """Yield a cache file's decoded payload line for editing in place,
+    then write it back under the file's unchanged header line."""
+    head, line, _ = path.read_bytes().split(b"\n", 2)
+    payload = json.loads(line)
+    yield payload
+    line = json.dumps(payload, separators=(",", ":")).encode()
+    path.write_bytes(head + b"\n" + line + b"\n")
+
+
 def test_hit_on_identical_digest(tmp_path):
     cache = ArtifactCache(tmp_path)
     cache.put("d1", safe_result(preds=(PRED,)), "fp")
@@ -51,7 +63,7 @@ def test_miss_on_different_digest_or_options(tmp_path):
 def test_corrupted_entry_is_a_miss_and_heals(tmp_path):
     cache = ArtifactCache(tmp_path)
     cache.put("d1", safe_result(), "fp")
-    (obj_file,) = (tmp_path / "objects").rglob("*.json")
+    (obj_file,) = (tmp_path / "objects").glob("*.json")
     obj_file.write_text("{ this is not json")
     assert cache.get("d1", "fp") is None
     assert cache.stats()["corrupt"] == 1
@@ -64,10 +76,9 @@ def test_corrupted_entry_is_a_miss_and_heals(tmp_path):
 def test_checksum_mismatch_is_a_miss(tmp_path):
     cache = ArtifactCache(tmp_path)
     cache.put("d1", safe_result(preds=(PRED,)), "fp")
-    (obj_file,) = (tmp_path / "objects").rglob("*.json")
-    payload = json.loads(obj_file.read_text())
-    payload["result"]["predicates"] = []  # tamper without fixing checksum
-    obj_file.write_text(json.dumps(payload))
+    (obj_file,) = (tmp_path / "objects").glob("*.json")
+    with tampered(obj_file) as payload:
+        payload["predicates"] = []  # tamper without fixing checksum
     assert cache.get("d1", "fp") is None
     assert cache.stats()["corrupt"] == 1
 
@@ -83,7 +94,7 @@ def test_shape_index_seeds_predicates(tmp_path):
 def test_corrupt_shape_entry_returns_no_seeds(tmp_path):
     cache = ArtifactCache(tmp_path)
     cache.put("d1", safe_result(preds=(PRED,)), "fp", shape="s1")
-    (shape_file,) = (tmp_path / "shapes").rglob("*.json")
+    (shape_file,) = (tmp_path / "shapes").glob("*.json")
     shape_file.write_text("garbage")
     assert cache.seed_predicates("s1", "fp") == ()
     assert not shape_file.exists()
@@ -92,7 +103,7 @@ def test_corrupt_shape_entry_returns_no_seeds(tmp_path):
 def _stored_blob(tmp_path, key="k1", data=None):
     cache = ArtifactCache(tmp_path)
     cache.put_blob("absint", key, data or {"verdict": "safe", "n": [1, 2]})
-    (blob_file,) = (tmp_path / "absint").rglob("*.json")
+    (blob_file,) = (tmp_path / "absint").glob("*.json")
     return cache, blob_file
 
 
@@ -106,15 +117,15 @@ def _assert_quarantined_then_healed(cache, blob_file, key="k1"):
 
 def test_truncated_blob_is_a_miss_and_heals(tmp_path):
     cache, blob_file = _stored_blob(tmp_path)
-    blob_file.write_text(blob_file.read_text()[:30])
+    raw = blob_file.read_bytes()
+    blob_file.write_bytes(raw[: len(raw) - 10])  # inside the payload line
     _assert_quarantined_then_healed(cache, blob_file)
 
 
 def test_blob_checksum_mismatch_is_a_miss_and_heals(tmp_path):
     cache, blob_file = _stored_blob(tmp_path)
-    payload = json.loads(blob_file.read_text())
-    payload["data"]["verdict"] = "race"  # tamper without fixing checksum
-    blob_file.write_text(json.dumps(payload))
+    with tampered(blob_file) as payload:
+        payload["verdict"] = "race"  # tamper without fixing checksum
     _assert_quarantined_then_healed(cache, blob_file)
 
 
@@ -122,9 +133,9 @@ def test_blob_under_another_key_is_a_miss_and_heals(tmp_path):
     """A well-formed blob at another key's path (a copied or misplaced
     file) never answers for that key."""
     cache, other = _stored_blob(tmp_path, key="k2")
-    blob_file = cache._blob_path("absint", "k1")
-    blob_file.parent.mkdir(parents=True, exist_ok=True)
-    blob_file.write_text(other.read_text())
+    cache.put_blob("absint", "k1", {"verdict": "race"})
+    (blob_file,) = set((tmp_path / "absint").glob("*.json")) - {other}
+    blob_file.write_bytes(other.read_bytes())
     _assert_quarantined_then_healed(cache, blob_file)
     assert cache.get_blob("absint", "k2") == {"verdict": "safe", "n": [1, 2]}
 

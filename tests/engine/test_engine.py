@@ -1,5 +1,6 @@
 """End-to-end engine behavior: planning, caching, crash recovery."""
 
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -13,7 +14,9 @@ from repro.circ.circ import circ
 from repro.engine import (
     BatchItem,
     EventLog,
+    Job,
     options_fingerprint,
+    plan,
     run_batch,
     verify_one,
 )
@@ -21,6 +24,7 @@ from repro.lang.lexer import LexError
 from repro.lang.parser import ParseError
 from repro.lang.lower import lower_source
 from repro.portfolio.winrate import WinRateBook
+from repro.smt.qcache import SAT_CACHE, QueryCache
 
 BELT = """
 global int m, x;
@@ -335,6 +339,66 @@ def test_omitted_options_key_the_cache_as_circ_defaults():
     assert fp({}) == fp({"variant": "omega", "k": 1}) != fp({"variant": "circ"})
 
 
+def reference_fingerprint(options: dict) -> str:
+    """The options fingerprint as first written: defaults merged, every
+    salient option JSON-dumped and hashed on every call."""
+    defaults = {
+        "k": 1, "variant": "omega", "strategy": "wp-atoms",
+        "abstraction": "cartesian", "max_outer": 40, "max_inner": 40,
+        "max_states": 500_000, "max_iterations": None, "timeout_s": None,
+    }
+    salient = (
+        "variant", "k", "strategy", "abstraction", "max_outer", "max_inner",
+        "max_states", "max_iterations", "timeout_s", "portfolio",
+    )
+    options = {**defaults, **options}
+    kept = {
+        key: options[key]
+        for key in salient
+        if key in options and options[key] is not None
+    }
+    blob = json.dumps(kept, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+FINGERPRINTED_OPTIONS = [
+    {},
+    {"variant": "omega", "k": 1, "strategy": "wp-atoms", "abstraction": "cartesian",
+     "max_outer": 40, "max_inner": 40, "max_states": 500_000,
+     "max_iterations": None, "timeout_s": None},
+    {"variant": "circ"}, {"k": 2}, {"strategy": "interpolants"},
+    {"abstraction": "boolean"}, {"max_outer": 3}, {"max_inner": 3},
+    {"max_states": 10}, {"max_iterations": 5}, {"timeout_s": 60},
+    {"timeout_s": 60.0}, {"portfolio": True}, {"portfolio": False},
+    {"keep_history": True}, {"timeout_s": 60, "portfolio": True, "k": 2},
+]
+
+
+@pytest.mark.parametrize("options", FINGERPRINTED_OPTIONS)
+def test_jobs_carry_the_options_fingerprint_once_computed(options):
+    """Each job carries its options' fingerprint, equal to the function
+    as first written: omitted options count as circ's defaults, and
+    every salient option keys apart."""
+    expected = reference_fingerprint(options)
+    assert options_fingerprint(options) == expected
+    the_plan = plan(ITEMS, options=options, prefilter=False)
+    assert [job.options_fp for job in the_plan.jobs] == [expected] * 4
+    (job,) = plan(ITEMS[:1], options=options, prefilter=False).jobs
+    rebuilt = Job(
+        job_id=0, source=None, thread=None, variable="x", digest=job.digest,
+        shape=job.shape, options=options,
+    )
+    assert rebuilt.options_fp == expected
+
+
+def test_salient_options_key_apart():
+    fps = [options_fingerprint(o) for o in FINGERPRINTED_OPTIONS]
+    # {} equals its spelled-out defaults and the unkeyed keep_history;
+    # everything else keys apart, 60 from 60.0 and portfolio=False too.
+    assert fps[0] == fps[1] == fps[14]
+    assert len(set(fps)) == len(fps) - 2
+
+
 def test_portfolio_conflict_downgrades_to_unknown(tmp_path, monkeypatch):
     """A confident disagreement must not sink the batch and must not
     adopt either party's claim: the row is UNKNOWN and names the
@@ -360,16 +424,65 @@ def test_portfolio_conflict_downgrades_to_unknown(tmp_path, monkeypatch):
 # -- what a batch writes ------------------------------------------------------------
 
 
-def test_batch_answered_from_the_cache_leaves_the_smt_tier_alone(tmp_path):
-    """A batch answered entirely from the artifact cache has no SMT
-    verdict to add, so the tier file is not replaced."""
+def count_tier_calls(monkeypatch) -> Counter:
+    """Count ``QueryCache.load`` and ``QueryCache.save`` calls."""
+    calls = Counter()
+    for name in ("load", "save"):
+        real = getattr(QueryCache, name)
+
+        def counting(self, path, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, path)
+
+        monkeypatch.setattr(QueryCache, name, counting)
+    return calls
+
+
+def tier_entries(root) -> dict:
+    return json.loads((root / "smt" / "qcache.json").read_text())["entries"]
+
+
+def test_batch_answered_from_the_cache_leaves_the_smt_tier_alone(
+    tmp_path, monkeypatch
+):
+    """A batch answered entirely from the artifact cache runs no job, so
+    it neither loads nor saves the SMT tier, and the file is untouched."""
     run_batch(ITEMS, cache_dir=str(tmp_path), workers=1)
     tier = tmp_path / "smt" / "qcache.json"
     before = tier.stat()
-    report = run_batch(ITEMS, cache_dir=str(tmp_path), workers=1)
+    calls = count_tier_calls(monkeypatch)
+    events = EventLog()
+    report = run_batch(ITEMS, cache_dir=str(tmp_path), workers=1, events=events)
     assert all(r.source in ("cache", "static") for r in report.rows)
+    assert calls == Counter()
+    assert not events.of_kind("smt_warm_start") and not events.of_kind("smt_tier_saved")
     after = tier.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_cold_batch_after_a_warm_one_loads_the_tier_before_its_first_job(
+    tmp_path, monkeypatch
+):
+    """The first job the artifact cache cannot answer loads the tier,
+    and the batch then saves the persisted entries with its own."""
+    run_batch(ITEMS, cache_dir=str(tmp_path), workers=1)
+    run_batch(ITEMS, cache_dir=str(tmp_path), workers=1)
+    persisted = tier_entries(tmp_path)
+    SAT_CACHE.clear()  # as in a new process
+    calls = count_tier_calls(monkeypatch)
+    events = EventLog()
+    fresh = BatchItem(model="tas2", source=TAS.replace("x + 1", "x + 2"), variables=("x",))
+    report = run_batch([fresh], cache_dir=str(tmp_path), workers=1, events=events)
+    assert [r.source for r in report.rows] == ["circ"]
+    assert calls == Counter(load=1, save=1)
+    kinds = [e["event"] for e in events.events]
+    assert kinds.index("smt_warm_start") < kinds.index("job_started")
+    (warm,) = events.of_kind("smt_warm_start")
+    assert warm["entries"] == len(persisted)
+    saved = tier_entries(tmp_path)
+    assert persisted.items() <= saved.items() and len(saved) > len(persisted)
+    (tier_saved,) = events.of_kind("smt_tier_saved")
+    assert tier_saved["entries"] == len(saved)
 
 
 def book_runs(path) -> Counter:
