@@ -5,7 +5,7 @@ workhorse for trace-formula feasibility and abstract-region entailment in the
 verifier.  Input constraints are the canonical :class:`~repro.smt.linear.LinLe`
 (``expr <= 0``) and :class:`~repro.smt.linear.LinEq` (``expr == 0``) shapes.
 
-The pipeline is:
+The pipeline of :func:`solve_conjunction` is:
 
 1. **Gaussian elimination** of equalities (each equality either defines a
    variable, which is substituted everywhere, or degenerates to a constant).
@@ -16,6 +16,30 @@ The pipeline is:
 3. **Model construction** by back-substitution, preferring integer values;
    if the rational model cannot be repaired to an integer one directly, a
    bounded **branch-and-bound** split completes the integer search.
+
+:func:`is_sat_with_diseqs`, the yes/no question the verifier's
+conjunction queries ask (constraints plus disequalities), runs a
+**reduction** first.  On plain integer rows (a ``Fraction`` row is scaled
+by the lcm of its denominators), with no Farkas combination, scale or
+model, it substitutes every equality that has a +-1 coefficient into the
+other rows; an equality without one is first divided by the gcd of its
+coefficients (which refutes it when the gcd does not divide its
+constant).  A pivot variable is then an integer affine function of the
+rest, so the reduced system has an integer solution exactly when the
+input has one.  A disequality that reduces to ``0`` refutes the
+conjunction, and one that reduces to another constant is dropped.  When
+no inequality and no equality is left, the remaining variables are free,
+and finitely many disequalities (each false only on a proper hyperplane)
+cannot cover ``Z^k``: the answer is sat without a solve.  Otherwise the
+pipeline above runs on what the reduction left, splitting a disequality
+into its two strict halves only when a model violates it.  Each
+inequality the reduction hands on is first divided by the gcd of its
+coefficients, the constant rounded up, which keeps its integer points: a
+strip with no integer point, such as ``2y + 2z == 1`` written as two
+inequalities, is then refuted by elimination rather than sending
+branch-and-bound down it.
+Branch-and-bound depends on the form of the rows it is given, so where it
+gives up on the reduced rows the input rows get a try.
 
 Elimination is exact and *fraction-free*.  A working row holds integer
 coefficients, an integer constant, an integer Farkas combination and one
@@ -31,7 +55,7 @@ the results are exactly those of elimination over the rationals.
 ``Fraction`` appears only in model back-substitution and in the returned
 Farkas multipliers (combination / scale).
 
-The procedure is sound and complete for QF_LIA conjunctions (branch-and-bound
+Both procedures are sound and complete for QF_LIA conjunctions (branch-and-bound
 depth permitting; the verifier's constraints are shallow and near-unimodular,
 so in practice no branching occurs).
 """
@@ -48,6 +72,7 @@ __all__ = [
     "LiaResult",
     "solve_conjunction",
     "implies_conjunction",
+    "is_sat_with_diseqs",
 ]
 
 #: Maximum branch-and-bound depth before giving up (soundly reporting unknown
@@ -119,7 +144,7 @@ def _input_row(index: int, expr: LinExpr) -> _Row:
     """The integer row of input ``index``, scaled by its denominators' lcm."""
     coeffs = expr.coeffs
     const = expr.const
-    if type(const) is int and all(type(c) is int for c in coeffs.values()):
+    if _is_integral(coeffs, const):
         return _Row(coeffs, const, {index: 1}, 1)
     scale = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
     return _Row(
@@ -174,24 +199,174 @@ def implies_conjunction(
 ) -> bool:
     """Does the conjunction ``antecedent`` entail ``consequent``?
 
-    Implemented as unsatisfiability of ``antecedent and not(consequent)``.
-    A negated equality splits into two branches, both of which must be
-    refuted.
+    Implemented as unsatisfiability of ``antecedent and not(consequent)``
+    by :func:`is_sat_with_diseqs`: a negated equality is a disequality.
     """
     ante = list(antecedent)
     one = LinExpr({}, 1)
+    e = consequent.expr
     if isinstance(consequent, LinLe):
         # not(e <= 0)  is  -e + 1 <= 0  over the integers.
-        branches = [[LinLe((-consequent.expr) + one)]]
-    else:
-        # not(e == 0)  is  e+1 <= 0  or  -e+1 <= 0.
-        branches = [
-            [LinLe(consequent.expr + one)],
-            [LinLe((-consequent.expr) + one)],
-        ]
-    for extra in branches:
-        if solve_conjunction(ante + extra).is_sat:
+        return not is_sat_with_diseqs(ante + [LinLe((-e) + one)], [])
+    return not is_sat_with_diseqs(ante, [(LinLe(e + one), LinLe((-e) + one))])
+
+
+# ---------------------------------------------------------------------------
+# Conjunctions with disequalities
+# ---------------------------------------------------------------------------
+
+#: A plain integer row ``coeffs . x + const``, compared with 0: no Farkas
+#: combination and no scale.
+_IntRow = tuple[dict[str, int], int]
+
+
+def is_sat_with_diseqs(
+    constraints: Sequence[LinLe | LinEq], diseqs: Sequence[tuple[LinLe, LinLe]]
+) -> bool:
+    """Is ``constraints`` plus every disequality satisfiable over the integers?
+
+    A disequality ``d != 0`` comes as the pair ``(d + 1 <= 0, -d + 1 <= 0)``
+    that :func:`~repro.smt.linear.normalize_atom` returns for it; like every
+    row, it is scaled to integers, so a ``Fraction`` d still means
+    ``d != 0``.  The reduction of the module docstring runs first, and
+    whatever inequalities and equalities it leaves go to the elimination
+    pipeline.
+    """
+    input_neqs = [_integral(lo.expr.coeffs, lo.expr.const - 1) for lo, _ in diseqs]
+    eqs: list[_IntRow] = []
+    ineqs: list[_IntRow] = []
+    for c in constraints:
+        row = _integral(c.expr.coeffs, c.expr.const)
+        if isinstance(c, LinEq):
+            eqs.append(row)
+        elif isinstance(c, LinLe):
+            ineqs.append(row)
+        else:
+            raise TypeError(f"unknown constraint {c!r}")
+
+    # An equality without a +-1 coefficient is divided by the gcd of its
+    # coefficients (``_solve``'s GCD test); if that leaves none, it waits in
+    # ``kept``.  A later substitution may give it one, so ``kept`` rejoins
+    # the queue after every pivot.
+    neqs = input_neqs
+    kept: list[_IntRow] = []
+    while eqs:
+        row = eqs.pop()
+        coeffs, const = row
+        if not coeffs:
+            if const:
+                return False
+            continue
+        for name, a in coeffs.items():
+            if a == 1 or a == -1:
+                break
+        else:
+            g = math.gcd(*coeffs.values())
+            if const % g:
+                return False
+            if g == 1:
+                kept.append(row)
+            else:
+                eqs.append(({n: c // g for n, c in coeffs.items()}, const // g))
+            continue
+        if kept:
+            eqs += kept
+            kept = []
+        eqs = _eliminate(eqs, name, a, row)
+        ineqs = _eliminate(ineqs, name, a, row)
+        neqs = _eliminate(neqs, name, a, row)
+
+    # An inequality whose coefficients share a factor g is divided by it,
+    # its constant rounded up: the row keeps its integer points, and a strip
+    # such as 2y + 2z == 1 that a substitution leaves as two inequalities is
+    # refuted by elimination instead of sending branch-and-bound down it.
+    left: list[LinLe | LinEq] = [LinEq(LinExpr(*row)) for row in kept]
+    for coeffs, const in ineqs:
+        if coeffs:
+            g = math.gcd(*coeffs.values())
+            if g > 1:
+                coeffs = {n: c // g for n, c in coeffs.items()}
+                const = -(-const // g)
+            left.append(LinLe(LinExpr(coeffs, const)))
+        elif const > 0:
             return False
+    live_neqs: list[_IntRow] = []
+    for row in neqs:
+        if row[0]:
+            live_neqs.append(row)
+        elif not row[1]:
+            return False
+    if not left:
+        return True
+    try:
+        return _split_diseqs(left, live_neqs)
+    except BranchDepthExceeded:
+        # Branch-and-bound depends on the form of the rows it is given;
+        # where it gives up on the reduced rows, the input rows get a try.
+        return _split_diseqs(list(constraints), input_neqs)
+
+
+def _is_integral(coeffs: dict[str, int | Fraction], const: int | Fraction) -> bool:
+    return type(const) is int and all(type(c) is int for c in coeffs.values())
+
+
+def _integral(coeffs: dict[str, int | Fraction], const: int | Fraction) -> _IntRow:
+    """The row with integer entries: scaled, if need be, by the lcm of its
+    denominators, a positive factor, which keeps its relation to 0."""
+    if _is_integral(coeffs, const):
+        return coeffs, const
+    scale = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
+    return {name: int(c * scale) for name, c in coeffs.items()}, int(const * scale)
+
+
+def _eliminate(
+    rows: list[_IntRow], name: str, a: int, pivot: _IntRow
+) -> list[_IntRow]:
+    """``rows`` with ``name`` substituted away by the integer row
+    ``pivot == 0``, whose coefficient ``a`` on ``name`` is +-1."""
+    pivot_coeffs, pivot_const = pivot
+    out: list[_IntRow] = []
+    for row in rows:
+        coeffs = row[0]
+        b = coeffs.get(name)
+        if b is None:
+            out.append(row)
+            continue
+        # row + f*pivot has coefficient b + f*a = 0 on name, since a*a == 1.
+        f = -b * a
+        new = dict(coeffs)
+        for n, c in pivot_coeffs.items():
+            v = new.get(n, 0) + f * c
+            if v:
+                new[n] = v
+            else:
+                del new[n]
+        out.append((new, row[1] + f * pivot_const))
+    return out
+
+
+def _split_diseqs(base: list[LinLe | LinEq], neqs: list[_IntRow]) -> bool:
+    """Satisfiability of ``base`` and ``d != 0`` for each integer row ``d``
+    of ``neqs``.
+
+    Solves ``base``; the first disequality its model violates splits into
+    ``d <= -1`` and ``d >= 1``, each solved with the others again.
+    """
+    result = _solve(base, depth=0)
+    if not result.is_sat:
+        return False
+    model = result.model
+    for i, (coeffs, const) in enumerate(neqs):
+        value = const
+        for name, c in coeffs.items():
+            value += c * model.get(name, 0)
+        if not value:
+            rest = neqs[:i] + neqs[i + 1 :]
+            below = LinLe(LinExpr(coeffs, const + 1))
+            above = LinLe(LinExpr({n: -c for n, c in coeffs.items()}, 1 - const))
+            return _split_diseqs(base + [below], rest) or _split_diseqs(
+                base + [above], rest
+            )
     return True
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from . import lia
 from .cnf import AtomTable, nnf_of, rewrite_to_le, to_nnf, tseitin
-from .linear import LinEq, LinExpr, LinLe, normalize_atom
+from .linear import LinEq, LinExpr, LinLe
 from .profile import PROFILER
 from .qcache import (
     SAT_CACHE,
@@ -57,7 +57,6 @@ __all__ = [
     "equivalent",
     "get_model",
     "is_sat_conjunction",
-    "conjunction_constraints",
 ]
 
 
@@ -226,53 +225,49 @@ def _try_conjunction(formula: Term) -> list[Term] | None:
     return literals
 
 
-def conjunction_constraints(literals: Iterable[Term]) -> list[list[LinLe | LinEq]]:
-    """Convert literals into constraint alternatives.
+def clear_conjunction_cache() -> None:
+    """Drop every memoized verdict (now the unified, bounded cache)."""
+    SAT_CACHE.clear()
 
-    Returns a list of disjunctive *branches*; each branch is a conjunction of
-    constraints.  Most literals contribute to every branch; a disequality
-    doubles the branch count.  (Branch count is exponential in the number of
-    disequalities, which stays tiny in practice.)
+
+def _normalize(
+    literals: Iterable[Term],
+) -> tuple[set[str], list[LinLe | LinEq], list[tuple[LinLe, LinLe]]] | None:
+    """Canonical keys, constraints and disequalities of a conjunction.
+
+    ``TRUE`` and canonically duplicate literals contribute nothing; a
+    ``FALSE`` literal makes the result ``None``.  Each disequality is the
+    pair of strict halves :func:`~repro.smt.linear.normalize_atom` builds.
     """
-    from .terms import Not
-
-    branches: list[list[LinLe | LinEq]] = [[]]
+    keys: set[str] = set()
+    base: list[LinLe | LinEq] = []
+    diseqs: list[tuple[LinLe, LinLe]] = []
     for lit in literals:
         if lit == TRUE:
             continue
         if lit == FALSE:
-            return []
-        negated = False
-        atom = lit
-        if isinstance(lit, Not):
-            negated = True
-            atom = lit.arg
-        parts = normalize_atom(atom, negated=negated)
+            return None
+        ks, parts = literal_key(lit)
+        if keys.issuperset(ks):
+            continue  # canonically duplicate literal
+        keys.update(ks)
         for part in parts:
-            if isinstance(part, tuple):  # disjunction of two LinLe
-                new_branches = []
-                for br in branches:
-                    new_branches.append(br + [part[0]])
-                    new_branches.append(br + [part[1]])
-                branches = new_branches
+            if isinstance(part, tuple):
+                diseqs.append(part)
             else:
-                for br in branches:
-                    br.append(part)
-    return branches
-
-
-def clear_conjunction_cache() -> None:
-    """Drop every memoized verdict (now the unified, bounded cache)."""
-    SAT_CACHE.clear()
+                base.append(part)
+    return keys, base, diseqs
 
 
 def is_sat_conjunction(literals: Sequence[Term]) -> bool:
     """Satisfiability of a conjunction of (possibly negated) atoms.
 
     This is the hot path for predicate-abstraction queries: no CNF, no SAT
-    engine, just the LIA procedure with *lazy* disequality splitting -- a
-    disequality is split into its two strict branches only when the current
-    model violates it, avoiding the eager 2^d product.
+    engine, just :func:`~repro.smt.lia.is_sat_with_diseqs`.  It substitutes
+    away every equality with a +-1 coefficient, and when only disequalities
+    over free variables are left it answers without a solve; anything else
+    goes to Fourier-Motzkin, which splits a disequality into its two strict
+    halves only when a model violates it.
 
     Verdicts are memoized in the shared LRU cache under the canonical
     constraint key, so permutations and equivalent spellings of the same
@@ -285,60 +280,27 @@ def is_sat_conjunction(literals: Sequence[Term]) -> bool:
     # happens either way, so it never moves the cache counters.
     idkey = conjunction_idkey(literals)
     key = alias_key(idkey) if idkey is not None else None
+    normal = None
     if key is None:
-        keys: set[str] = set()
-        base: list[LinLe | LinEq] = []
-        diseqs: list[tuple[LinLe, LinLe]] = []
-        for lit in literals:
-            if lit == TRUE:
-                continue
-            if lit == FALSE:
-                PROFILER.record(False, time.perf_counter() - t0)
-                return False
-            ks, parts = literal_key(lit)
-            if keys.issuperset(ks):
-                continue  # canonically duplicate literal
-            keys.update(ks)
-            for part in parts:
-                if isinstance(part, tuple):
-                    diseqs.append(part)
-                else:
-                    base.append(part)
-        key = tuple(sorted(keys))
+        normal = _normalize(literals)
+        if normal is None:
+            PROFILER.record(False, time.perf_counter() - t0)
+            return False
+        key = tuple(sorted(normal[0]))
         if idkey is not None:
             # FALSE conjunctions returned above, so an aliased id key
             # always denotes a normalizable conjunction.
             remember_alias(idkey, key)
-        cached = SAT_CACHE.lookup(key)
-        if cached is not None:
-            PROFILER.record(cached, time.perf_counter() - t0, cache_hit=True)
-            return cached
-        result = _sat_with_diseqs(base, diseqs)
-        SAT_CACHE.store(key, result)
-        PROFILER.record(result, time.perf_counter() - t0)
-        return result
     cached = SAT_CACHE.lookup(key)
     if cached is not None:
         PROFILER.record(cached, time.perf_counter() - t0, cache_hit=True)
         return cached
-    # Alias hit but the verdict was evicted: rebuild the constraints and
-    # store under the same key without a second lookup.
-    base = []
-    diseqs = []
-    keys = set()
-    for lit in literals:
-        if lit == TRUE:
-            continue
-        ks, parts = literal_key(lit)
-        if keys.issuperset(ks):
-            continue
-        keys.update(ks)
-        for part in parts:
-            if isinstance(part, tuple):
-                diseqs.append(part)
-            else:
-                base.append(part)
-    result = _sat_with_diseqs(base, diseqs)
+    if normal is None:
+        # Alias hit but the verdict was evicted: rebuild the constraints
+        # and store under the same key without a second lookup.
+        normal = _normalize(literals)
+    _, base, diseqs = normal
+    result = lia.is_sat_with_diseqs(base, diseqs)
     SAT_CACHE.store(key, result)
     PROFILER.record(result, time.perf_counter() - t0)
     return result
@@ -364,25 +326,9 @@ class ConjunctionContext:
     __slots__ = ("_false", "_keys", "_base_key", "_base", "_diseqs", "_key_memo")
 
     def __init__(self, base_literals: Sequence[Term]):
-        self._false = False
-        keys: set[str] = set()
-        base: list[LinLe | LinEq] = []
-        diseqs: list[tuple[LinLe, LinLe]] = []
-        for lit in base_literals:
-            if lit == TRUE:
-                continue
-            if lit == FALSE:
-                self._false = True
-                break
-            ks, parts = literal_key(lit)
-            if keys.issuperset(ks):
-                continue
-            keys.update(ks)
-            for part in parts:
-                if isinstance(part, tuple):
-                    diseqs.append(part)
-                else:
-                    base.append(part)
+        normal = _normalize(base_literals)
+        self._false = normal is None
+        keys, base, diseqs = normal or (set(), [], [])
         self._keys = keys
         self._base_key = tuple(sorted(keys))
         self._base = base
@@ -422,27 +368,4 @@ class ConjunctionContext:
     def _solve_miss(self, parts: tuple[object, ...]) -> bool:
         extras = [p for p in parts if not isinstance(p, tuple)]
         extra_diseqs = [p for p in parts if isinstance(p, tuple)]
-        return _sat_with_diseqs(self._base + extras, self._diseqs + extra_diseqs)
-
-
-class _ZeroDefault(dict):
-    """A model that reads unassigned variables as 0."""
-
-    def __missing__(self, key):
-        return 0
-
-
-def _sat_with_diseqs(
-    base: list[LinLe | LinEq], diseqs: list[tuple[LinLe, LinLe]]
-) -> bool:
-    result = lia.solve_conjunction(base)
-    if not result.is_sat:
-        return False
-    env = _ZeroDefault(result.model or {})
-    for i, (lo, hi) in enumerate(diseqs):
-        if not lo.holds(env) and not hi.holds(env):
-            rest = diseqs[:i] + diseqs[i + 1 :]
-            return _sat_with_diseqs(base + [lo], rest) or _sat_with_diseqs(
-                base + [hi], rest
-            )
-    return True
+        return lia.is_sat_with_diseqs(self._base + extras, self._diseqs + extra_diseqs)

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from repro.smt import terms as T
 from repro.smt.solver import (
+    ConjunctionContext,
+    clear_conjunction_cache,
     entails,
     equivalent,
     get_model,
@@ -165,3 +167,44 @@ def test_model_when_sat_is_genuine(formula):
     m = get_model(formula)
     if m is not None:
         assert T.evaluate(formula, m) is True
+
+
+# ---------------------------------------------------------------------------
+# An exact oracle for the equality fragment
+# ---------------------------------------------------------------------------
+
+
+def _equality_literals():
+    """``x == y``, ``x != y``, ``x == c`` and ``x != c`` with c in [-3, 3]."""
+    consts = st.integers(min_value=-3, max_value=3)
+    return st.one_of(
+        st.builds(lambda a, b: T.eq(T.var(a), T.var(b)), _names, _names),
+        st.builds(lambda a, b: T.ne(T.var(a), T.var(b)), _names, _names),
+        st.builds(lambda a, c: T.eq(T.var(a), c), _names, consts),
+        st.builds(lambda a, c: T.ne(T.var(a), c), _names, consts),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_equality_literals(), min_size=1, max_size=6))
+def test_equality_conjunctions_agree_with_bruteforce(literals):
+    """The Table 1 predicates compare variables with each other.
+
+    A conjunction of these literals over at most 3 variables is satisfiable
+    iff it is with each variable in [-7, 7]: the equalities split the
+    variables into classes, a class with a constant takes that constant,
+    and each free class can take its own value from 4..6, which avoids
+    every constant and every other class.  So the enumeration is exact,
+    and the verdicts must agree both ways.
+    """
+    import itertools
+
+    names = sorted(set().union(*(T.free_vars(lit) for lit in literals)))
+    brute = any(
+        all(T.evaluate(lit, dict(zip(names, values))) for lit in literals)
+        for values in itertools.product(range(-7, 8), repeat=len(names))
+    )
+    clear_conjunction_cache()
+    assert is_sat_conjunction(literals) == brute
+    clear_conjunction_cache()
+    assert ConjunctionContext(literals[:-1]).query(literals[-1]) == brute
