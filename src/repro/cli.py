@@ -203,22 +203,23 @@ def _cmd_check(args) -> int:
         return _verdict_exit(len(report.races), len(report.undecided))
     static_report = None
     if not args.no_prefilter:
-        from .static import classify
+        from .static import StaticSafe, classify, prefilter_check
 
         static_report = classify(cfa, variables)
     races = unknown = 0
     reuse_totals: dict[str, int] = {}
     for var in variables:
         start = time.perf_counter()
-        if static_report is not None:
-            vv = static_report.verdict(var)
-            if vv.prunable:
+        if static_report is None:
+            result = circ(cfa, race_on=var, **options)
+        else:
+            result = prefilter_check(cfa, var, report=static_report, **options)
+            if isinstance(result, StaticSafe):
                 print(
-                    f"{var}: SAFE  [static: {vv.verdict.value} "
-                    f"-- {vv.reason}]"
+                    f"{var}: SAFE  [static: {result.static_verdict.value} "
+                    f"-- {result.reason}]"
                 )
                 continue
-        result = circ(cfa, race_on=var, **options)
         # The verifier's own stats record is the single timing source
         # (the engine's JSONL events read the same field); the local
         # clock only covers verdicts that never reached finalization.
@@ -366,7 +367,7 @@ def _cmd_baselines(args) -> int:
 
 def _cmd_portfolio(args) -> int:
     from .portfolio import PortfolioConflict, run_portfolio
-    from .portfolio.winrate import cache_book
+    from .portfolio.winrate import WinRateBook
     from .races.report import (
         render_rows_table,
         rows_from_portfolio,
@@ -385,7 +386,7 @@ def _cmd_portfolio(args) -> int:
     from .engine.events import EventLog
 
     cache = None if args.no_cache else ArtifactCache(args.cache)
-    book = None if args.no_cache else cache_book(args.cache)
+    book = None if args.no_cache else WinRateBook(cache)
     events = EventLog(args.events) if args.events else EventLog()
     options = _budget_options(args)
 

@@ -11,15 +11,16 @@ Layout (everything under one cache root, safe to delete at any time)::
                           digest (the portfolio's absint)
     plans/<name>.json     blob: one batch item's plan by source text (the
                           planner, see repro.engine.planner)
-    smt/qcache.json       persistent SMT verdict tier (run_batch, once a
-                          job runs and the tier gains entries; fleet
-                          workers and the serve daemon)
-    winrates.json         the portfolio's win-rate book (portfolio jobs
-                          and ``repro portfolio --cache``)
+    smt/<name>.json       blob: the persistent SMT verdict tier, digest ->
+                          verdict, keyed by its key scheme's format
+                          (repro.smt.qcache: run_batch once a job runs,
+                          fleet workers, the serve daemon)
+    winrates/<name>.json  blob: the portfolio's win-rate book (portfolio
+                          jobs and ``repro portfolio --cache``)
 
 Each namespace is one flat directory: ``<name>`` is a SHA-256 of the
 format version, the namespace and the entry's key fields.  Every file of
-the four namespaces has the same two-line format::
+every namespace has the same two-line format::
 
     {"format":"circ-cache-v2","namespace":...,<key fields>,"sha256":...}
     <the payload as one line of compact JSON>
@@ -47,15 +48,21 @@ Robustness rules:
   payload is a **miss**, and the file is unlinked (quarantined) so the
   slot heals on the next store;
 * a file of an earlier format sits at a path this format never
-  computes, so it is never read (a miss, not a quarantine);
+  computes, so it is never read (a miss, not a quarantine); so do the
+  SMT tier's and the win-rate book's former files, ``smt/qcache.json``
+  and ``winrates.json``;
 * concurrent writers may race on the same object/blob key -- last
   ``os.replace`` wins, which is fine because both wrote equivalent
   artifacts for the same content digest;
-* the **shape index is the one genuinely mutated slot** (different
-  digests append predicates to the same shape), so its update is a
-  read-merge-write under an advisory ``flock``: two shard workers
-  publishing predicates for the same shape accumulate instead of
-  clobbering each other.
+* three kinds of entry are mutated rather than replaced: a shape's
+  warm-start seeds (different digests add predicates to the same
+  shape), the SMT tier (every process adds verdicts) and the win-rate
+  book (every process adds counts).  Each update is the one
+  read-merge-write, :meth:`ArtifactCache._merge`, under an advisory
+  ``flock`` on the entry's sibling ``.lock`` file: concurrent writers,
+  shard workers included, accumulate instead of clobbering each other,
+  and a merge that changes nothing writes nothing.  No other code
+  reads, merges or writes a file under a cache root.
 """
 
 from __future__ import annotations
@@ -63,13 +70,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
+
+try:  # advisory file locking is POSIX-only
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platform
+    fcntl = None
 
 from ..circ.result import CircResult
 from ..smt import terms as T
-from ..util.locks import atomic_write_bytes, file_lock
 from .artifacts import (
     ArtifactError,
     result_from_obj,
@@ -104,6 +117,42 @@ def _header(namespace: str, fields: dict[str, str], line: bytes) -> dict:
     }
 
 
+@contextmanager
+def _locked(path: str):
+    """Hold an exclusive advisory ``flock`` on ``path`` (created empty if
+    absent).  Where ``fcntl`` is missing the lock is a no-op: merges may
+    then lose a delta, but a file is still never torn."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "a") as fh:
+        if fcntl is None:  # pragma: no cover - non-POSIX platform
+            yield
+            return
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(fh, fcntl.LOCK_UN)
+
+
+def _publish(path: str, data: bytes) -> None:
+    """Write ``data`` to a uniquely named temp file beside ``path``, then
+    rename it over ``path``: neither a reader nor a crash sees a torn
+    file, and of two concurrent writers the last rename wins whole."""
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 @dataclass
 class CacheEntry:
     """A deserialized cache object."""
@@ -128,15 +177,6 @@ class ArtifactCache:
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
-
-    def smt_tier_path(self) -> Path:
-        """Where the persistent SMT verdict tier lives under this root.
-
-        The SMT query cache (:mod:`repro.smt.qcache`) keys entries by
-        canonical-formula digest, not slice digest, so one file per cache
-        root suffices -- verdicts are reusable across models and options.
-        """
-        return self.root / "smt" / "qcache.json"
 
     # -- objects -------------------------------------------------------------
 
@@ -201,6 +241,15 @@ class ArtifactCache:
         """Store an auxiliary analysis artifact (atomic, checksummed)."""
         self._write(kind, {"key": key}, data)
 
+    def merge_blob(
+        self, kind: str, key: str, merge: Callable[[Any | None], Any]
+    ) -> Any:
+        """Fold into a blob that several writers add to (the SMT tier,
+        the win-rate book): store ``merge(stored)``, where ``stored`` is
+        the blob's payload or None, through :meth:`_merge`.  Returns
+        the payload the blob holds afterwards."""
+        return self._merge(kind, {"key": key}, merge)
+
     # -- warm-start index ----------------------------------------------------
 
     def _put_shape(
@@ -210,19 +259,19 @@ class ArtifactCache:
 
         Unlike objects and blobs (content-addressed, so concurrent
         writers store equivalent payloads), the shape slot aggregates
-        predicates from *different* digests.  The update is therefore a
-        read-merge-write under an advisory ``flock``: fresh predicates
-        go first, previously published ones that are still distinct
-        follow, capped at :data:`MAX_SHAPE_PREDICATES` so the seed set
-        stays a warm start rather than a predicate dump.
+        predicates from *different* digests, so it is updated through
+        :meth:`_merge`: fresh predicates go first, previously published
+        ones that are still distinct follow, capped at
+        :data:`MAX_SHAPE_PREDICATES` so the seed set stays a warm start
+        rather than a predicate dump.
         """
-        fields = {"shape": shape, "options_fp": options_fp}
         fresh = [term_to_obj(p) for p in predicates]
-        path = self._path(SHAPES, fields)
-        with file_lock(os.path.splitext(path)[0] + ".lock"):
-            existing = self._read(SHAPES, fields) or []
-            merged = fresh + [o for o in existing if o not in fresh]
-            self._write(SHAPES, fields, merged[:MAX_SHAPE_PREDICATES])
+
+        def merge(stored):
+            old = [o for o in stored or () if o not in fresh]
+            return (fresh + old)[:MAX_SHAPE_PREDICATES]
+
+        self._merge(SHAPES, {"shape": shape, "options_fp": options_fp}, merge)
 
     def seed_predicates(
         self, shape: str, options_fp: str = ""
@@ -253,9 +302,34 @@ class ArtifactCache:
         the header line, then the payload serialized once."""
         line = json.dumps(payload, separators=_COMPACT).encode()
         head = json.dumps(_header(namespace, fields, line), separators=_COMPACT)
-        atomic_write_bytes(
+        _publish(
             self._path(namespace, fields), b"%s\n%s\n" % (head.encode(), line)
         )
+
+    def _merge(
+        self,
+        namespace: str,
+        fields: dict[str, str],
+        merge: Callable[[Any | None], Any],
+    ) -> Any:
+        """The one read-merge-write under a cache root.
+
+        Holds an advisory ``flock`` on the entry's sibling ``.lock``
+        file, reads the stored payload (None when there is none, or when
+        it was quarantined), and writes ``merge(stored)`` unless that
+        equals the stored payload: writers serialize, so none clobbers
+        another's additions, and a merge that adds nothing leaves the
+        file as it is (replacing a file costs a data flush on some
+        filesystems).  ``merge`` must build a new payload rather than
+        mutate ``stored``.  Returns the merged payload.
+        """
+        path = self._path(namespace, fields)
+        with _locked(os.path.splitext(path)[0] + ".lock"):
+            stored = self._read(namespace, fields)
+            merged = merge(stored)
+            if merged != stored:
+                self._write(namespace, fields, merged)
+        return merged
 
     def _read(self, namespace: str, fields: dict[str, str]) -> Any | None:
         """The decoded payload of ``namespace``'s entry keyed by

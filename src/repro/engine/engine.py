@@ -128,7 +128,7 @@ def run_batch(
         def load_tier() -> None:
             nonlocal tier_loaded
             tier_loaded = True
-            warmed = SAT_CACHE.load(cache.smt_tier_path())
+            warmed = SAT_CACHE.load(cache)
             if warmed:
                 events.emit("smt_warm_start", entries=warmed)
 
@@ -177,7 +177,7 @@ def run_batch(
             cache_stats=cache.stats() if cache is not None else {},
         )
         if tier_loaded:
-            saved = SAT_CACHE.save(cache.smt_tier_path())
+            saved = SAT_CACHE.save(cache)
             if saved:
                 events.emit("smt_tier_saved", entries=saved)
         events.emit(

@@ -65,7 +65,8 @@ def _run_job_payload(
     and lower the payload's source.  ``books`` holds the caller's
     :class:`~repro.portfolio.winrate.WinRateBook` per cache root: a
     portfolio job records its outcomes in its root's book, opened on
-    first use, and the caller saves the books when its jobs are done.
+    first use with the root's artifact cache, and the caller saves the
+    books when its jobs are done.
     """
     start = time.perf_counter()
     variable = payload["variable"]
@@ -116,27 +117,27 @@ def _run_job_payload(
 def _run_portfolio_job(cfa, variable, payload, options, extras, events, books):
     """Resolve one job through the analysis portfolio.
 
-    Every job opens the shared cache root's artifact cache itself (blob
-    reads/writes are atomic and checksummed), so warm absint summaries
-    carry from job to job, in-process and across workers alike.  The
-    win-rate book comes from the caller's ``books``: one per batch
-    in-process, one per fleet worker, so learned scheduling order
-    carries from job to job in memory and reaches the cache root when
-    the caller saves it.
+    The win-rate book comes from the caller's ``books``: one per cache
+    root per batch in-process, and per fleet worker, so learned
+    scheduling order carries from job to job in memory and reaches the
+    cache root when the caller saves it.  The book's artifact cache
+    also holds the absint summaries (blob reads and writes are atomic
+    and checksummed), so those carry from job to job, in-process and
+    across workers alike.
     """
     # Imported here, not at module top: the portfolio package sits on
     # the engine's cache/events modules, so a top-level import would
     # close an import cycle through the engine package __init__.
     from ..portfolio.driver import PortfolioConflict, run_portfolio
-    from ..portfolio.winrate import cache_book
+    from ..portfolio.winrate import WinRateBook
 
     cache_root = payload.get("cache_root")
     cache = book = None
     if cache_root:
-        cache = ArtifactCache(cache_root)
         if cache_root not in books:
-            books[cache_root] = cache_book(cache_root)
+            books[cache_root] = WinRateBook(ArtifactCache(cache_root))
         book = books[cache_root]
+        cache = book.cache
     try:
         report = run_portfolio(
             cfa, variable, cache=cache, winrates=book, events=events, **options

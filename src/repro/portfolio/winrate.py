@@ -8,11 +8,11 @@ value-guarded ones need the interval domain, data-dependent protocols
 need CIRC -- so wins are counted per *shape class*, a coarse bucketing
 of the query (synchronization style x template size), not globally.
 
-The book is deliberately tiny and JSON-backed: it lives under the
-artifact cache root, survives across runs, and its counters are also
-emitted into the JSONL telemetry (``portfolio_winrates`` events) so the
-engine's planner -- or a human reading the log -- can see which analysis
-earns its slot per workload shape.
+The book is deliberately tiny: one blob of the artifact cache, so it
+survives across runs, and its counters are also emitted into the JSONL
+telemetry (``portfolio_winrates`` events) so the engine's planner -- or
+a human reading the log -- can see which analysis earns its slot per
+workload shape.
 
 Whoever creates a book saves it, once, when its queries are done: the
 scheduler after a batch's last in-process job, a fleet worker in its
@@ -22,28 +22,29 @@ still sees the counts of the queries before it in the same book, in
 memory.
 
 Concurrent writers -- daemon worker threads, parallel batch workers --
-share one book file.  A naive load/mutate/save cycle is last-writer-wins
-and silently drops every other writer's counts, so :meth:`save` is a
-*read-merge-write*: it tracks the deltas recorded since the last save,
-re-reads the file under an advisory lock, folds the deltas into whatever
-other writers persisted meanwhile, and replaces the file atomically.
-Win counts are therefore never lost, only delayed.
+share one book entry.  A naive load/mutate/save cycle is last-writer-wins
+and silently drops every other writer's counts, so :meth:`save` tracks
+the deltas recorded since the last save and folds them into whatever
+other writers persisted meanwhile, through the cache's one locked
+read-merge-write.  Win counts are therefore never lost, only delayed.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
-from pathlib import Path
 
 from ..cfa.cfa import CFA
-from ..util.locks import atomic_write_text, file_lock
+from ..engine.cache import ArtifactCache
 
-__all__ = ["WinRateBook", "cache_book", "shape_class", "DEFAULT_ORDER"]
+__all__ = ["WinRateBook", "shape_class", "DEFAULT_ORDER"]
 
 #: Static cost order: cheapest analysis first until the book learns better.
 DEFAULT_ORDER = ("racer", "absint", "circ")
+
+#: The book's artifact-cache blob: its namespace, and a key naming the
+#: payload's layout, so a new layout addresses a fresh entry.
+BOOK_NAMESPACE = "winrates"
+BOOK_FORMAT = "winrates-v1"
 
 
 def shape_class(cfa: CFA, variable: str) -> str:
@@ -74,45 +75,38 @@ class WinRateBook:
     reorders once it has evidence.
     """
 
-    def __init__(self, path: str | os.PathLike | None = None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, cache: ArtifactCache | None = None):
+        """A book kept in ``cache`` (a corrupt entry relearns from
+        scratch), or in memory only when ``cache`` is None."""
+        self.cache = cache
         self.counts: dict[str, dict[str, dict[str, float]]] = {}
         # Deltas recorded since the last successful save; save() merges
-        # them into the on-disk counts instead of overwriting the file.
+        # them into the stored counts instead of overwriting them.
         self._pending: dict[str, dict[str, dict[str, float]]] = {}
         self._mutex = threading.Lock()
-        if self.path is not None and self.path.exists():
-            self.counts = self._read_counts(self.path)
+        if cache is not None:
+            self.counts = cache.get_blob(BOOK_NAMESPACE, BOOK_FORMAT) or {}
 
     @staticmethod
-    def _read_counts(path: Path) -> dict:
-        try:
-            raw = json.loads(path.read_text())
-            if isinstance(raw, dict):
-                shapes = raw.get("shapes", {})
-                if isinstance(shapes, dict):
-                    return shapes
-        except (OSError, ValueError):
-            pass  # a corrupt book relearns from scratch
-        return {}
-
-    @staticmethod
-    def _cell(
-        table: dict, shape: str, analysis: str
-    ) -> dict[str, float]:
-        return table.setdefault(shape, {}).setdefault(
-            analysis, {"wins": 0, "runs": 0, "total_ms": 0.0}
-        )
+    def _add(table: dict, deltas: dict) -> dict:
+        """Add ``deltas``' counts into ``table``, cell by cell."""
+        for shape, analyses in deltas.items():
+            for analysis, delta in analyses.items():
+                cell = table.setdefault(shape, {}).setdefault(
+                    analysis, {"wins": 0, "runs": 0, "total_ms": 0.0}
+                )
+                for field in ("wins", "runs", "total_ms"):
+                    cell[field] += delta[field]
+        return table
 
     def record(
         self, shape: str, analysis: str, won: bool, time_ms: float
     ) -> None:
+        cell = {"wins": int(won), "runs": 1, "total_ms": time_ms}
+        delta = {shape: {analysis: cell}}
         with self._mutex:
-            for table in (self.counts, self._pending):
-                cell = self._cell(table, shape, analysis)
-                cell["runs"] += 1
-                cell["wins"] += 1 if won else 0
-                cell["total_ms"] += time_ms
+            self._add(self.counts, delta)
+            self._add(self._pending, delta)
 
     def win_rate(self, shape: str, analysis: str) -> float:
         cell = self.counts.get(shape, {}).get(analysis)
@@ -136,16 +130,16 @@ class WinRateBook:
         return {"shapes": self.counts}
 
     def save(self) -> None:
-        """Merge the deltas since the last save into the book file.
+        """Merge the deltas since the last save into the book's entry.
 
-        Holds an advisory ``flock`` on a sibling ``.lock`` file for the
-        read-merge-write cycle, so two processes saving concurrently
-        serialize and neither clobbers the other's counts.  Platforms
-        without ``fcntl`` skip the lock but keep the merge, which still
-        beats blind overwriting.  With no deltas recorded since the
-        last save there is nothing to merge, and the file is left alone.
+        The merge is the cache's one locked read-merge-write
+        (:meth:`~repro.engine.cache.ArtifactCache.merge_blob`), so two
+        processes saving concurrently serialize and neither clobbers the
+        other's counts.  With no deltas recorded since the last save
+        there is nothing to merge, and the entry is left alone; a failed
+        write puts the deltas back for a later save.
         """
-        if self.path is None:
+        if self.cache is None:
             return
         with self._mutex:
             pending = self._pending
@@ -153,38 +147,16 @@ class WinRateBook:
         if not pending:
             return
         try:
-            with file_lock(self.path.with_suffix(".lock")):
-                merged = (
-                    self._read_counts(self.path)
-                    if self.path.exists()
-                    else {}
-                )
-                for shape, analyses in pending.items():
-                    for analysis, delta in analyses.items():
-                        cell = self._cell(merged, shape, analysis)
-                        cell["runs"] += delta["runs"]
-                        cell["wins"] += delta["wins"]
-                        cell["total_ms"] += delta["total_ms"]
-                with self._mutex:
-                    self.counts = merged
-                atomic_write_text(
-                    self.path,
-                    json.dumps(
-                        {"shapes": merged}, indent=1, sort_keys=True
-                    ),
-                )
+            merged = self.cache.merge_blob(
+                BOOK_NAMESPACE,
+                BOOK_FORMAT,
+                lambda stored: self._add(self._add({}, stored or {}), pending),
+            )
         except OSError:
-            # Persistence is an accelerator; put the deltas back so a
-            # later save can still merge them.
+            # Persistence is an accelerator; a later save can still
+            # merge the deltas.
             with self._mutex:
-                for shape, analyses in pending.items():
-                    for analysis, delta in analyses.items():
-                        cell = self._cell(self._pending, shape, analysis)
-                        cell["runs"] += delta["runs"]
-                        cell["wins"] += delta["wins"]
-                        cell["total_ms"] += delta["total_ms"]
-
-
-def cache_book(cache_root: str | os.PathLike) -> WinRateBook:
-    """The win-rate book kept under an artifact cache root."""
-    return WinRateBook(Path(cache_root) / "winrates.json")
+                self._add(self._pending, pending)
+            return
+        with self._mutex:
+            self.counts = merged

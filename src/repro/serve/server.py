@@ -18,8 +18,9 @@ CLI's cold-start problem again.
 Graceful drain: on SIGTERM/SIGINT the server stops accepting work (new
 submissions are answered ``RETRYABLE``), queued jobs fail
 ``RETRYABLE``, in-flight jobs run to completion and their results are
-delivered, then the qcache warm tier is flushed and the sockets close
-(each portfolio job has already saved the win-rate book).
+delivered, then the qcache warm tier is flushed, its autosave is
+disarmed and the sockets close (each portfolio job has already saved the
+win-rate book).
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ class RaceServer:
             await asyncio.sleep(0.01)
         await asyncio.sleep(0.05)  # let transports flush result frames
         self.executor.shutdown(wait=True)
-        self.hot.flush()
+        self.hot.close()
         self.events.emit("serve_stopped", **self.stats())
         if self._server is not None:
             await self._server.wait_closed()

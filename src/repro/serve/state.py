@@ -87,12 +87,10 @@ class HotState:
         self.context_misses = 0
         self.evictions = 0
         if self.cache is not None:
-            warmed = SAT_CACHE.load(self.cache.smt_tier_path())
+            warmed = SAT_CACHE.load(self.cache)
             if warmed:
                 self.events.emit("smt_warm_start", entries=warmed)
-            SAT_CACHE.set_autosave(
-                self.cache.smt_tier_path(), every=qcache_flush_every
-            )
+            SAT_CACHE.set_autosave(self.cache, every=qcache_flush_every)
 
     @staticmethod
     def context_key(source: str, thread: str | None) -> str:
@@ -169,6 +167,14 @@ class HotState:
             saved = SAT_CACHE.flush()
             if saved:
                 self.events.emit("smt_tier_saved", entries=saved)
+
+    def close(self) -> None:
+        """Spill every persistent tier a last time and disarm autosave,
+        which this state armed on the process-wide :data:`SAT_CACHE`:
+        no later store in the process spills into this daemon's cache."""
+        self.flush()
+        if self.cache is not None:
+            SAT_CACHE.set_autosave(None)
 
     def stats(self) -> dict:
         with self._mutex:

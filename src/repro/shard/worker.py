@@ -221,7 +221,7 @@ def main(stdin=None, out=None) -> int:
     from ..engine.scheduler import _run_job_payload
     from ..smt.qcache import SAT_CACHE
 
-    cache_root: str | None = None
+    cache = None  # the hello's cache root, which holds the SMT tier
     books: dict = {}  # win-rate books by cache root, saved at shutdown
     for line in stdin:
         line = line.strip()
@@ -235,11 +235,8 @@ def main(stdin=None, out=None) -> int:
         op = frame.get("op")
         if op == "hello":
             cache_root = frame.get("cache_root")
-            warm = 0
-            if cache_root:
-                warm = SAT_CACHE.load(
-                    ArtifactCache(cache_root).smt_tier_path()
-                )
+            cache = ArtifactCache(cache_root) if cache_root else None
+            warm = SAT_CACHE.load(cache) if cache is not None else 0
             _send(
                 out,
                 {
@@ -262,11 +259,7 @@ def main(stdin=None, out=None) -> int:
                 },
             )
         elif op == "shutdown":
-            saved = 0
-            if cache_root:
-                saved = SAT_CACHE.save(
-                    ArtifactCache(cache_root).smt_tier_path()
-                )
+            saved = SAT_CACHE.save(cache) if cache is not None else 0
             for book in books.values():
                 book.save()
             _send(out, {"frame": "bye", "tier_entries": saved})

@@ -12,7 +12,6 @@ from .qcache import LruCache, QueryCache, SAT_CACHE
 from .session import Session, default_session, reset_default_session
 from .solver import (
     SmtResult,
-    Solver,
     clear_conjunction_cache,
     entails,
     equivalent,

@@ -13,8 +13,9 @@ The canonical key of a literal or formula is a *string* (an s-expression
 over normalized linear atoms).  Strings hash fast, compare fast, and --
 unlike ``frozenset`` reprs -- serialize deterministically across
 processes, which the persistent warm tier depends on: entries are spilled
-to and reloaded from JSON keyed by the SHA-256 of the canonical key, so a
-warm start can answer queries from a previous process's run.
+to and reloaded from an artifact-cache entry that maps the SHA-256 of each
+canonical key to its verdict, so a warm start can answer queries from a
+previous process's run.
 
 Eviction is LRU with hit/miss/eviction counters (:class:`LruCache` is
 also reused by the predicate abstractor for its region memo).
@@ -23,11 +24,8 @@ also reused by the predicate abstractor for its region memo).
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import threading
 from collections import OrderedDict
-from pathlib import Path
 from typing import Any, Hashable, Sequence
 
 from .linear import LinEq, LinExpr, LinLe, normalize_atom
@@ -46,8 +44,13 @@ __all__ = [
     "key_digest",
 ]
 
-#: Bump when the canonical key scheme or persisted format changes.
+#: Bump when the canonical key scheme or persisted format changes.  The
+#: persistent tier's cache entry is keyed by it, so a new scheme
+#: addresses a fresh entry.
 QCACHE_FORMAT = "smt-qcache-v1"
+
+#: The artifact-cache namespace of the persistent tier.
+TIER_NAMESPACE = "smt"
 
 #: Default bound on the shared verdict cache.
 DEFAULT_MAXSIZE = 65_536
@@ -285,6 +288,12 @@ class QueryCache:
     previous run (:meth:`load`); it is consulted only on a primary miss
     (one SHA-256 on a path that would otherwise run the LIA solver) and
     hits are promoted into the primary tier.
+
+    The tier persists as one blob of an artifact cache
+    (:class:`~repro.engine.cache.ArtifactCache`), which :meth:`load`,
+    :meth:`save` and autosave take by duck typing: any object with
+    ``get_blob`` and ``merge_blob`` will do, so this package imports
+    nothing from the engine.
     """
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
@@ -296,7 +305,7 @@ class QueryCache:
         # worker threads and spill it periodically; the lock keeps
         # save()'s iteration over the LRU safe against concurrent puts.
         self._lock = threading.RLock()
-        self._autosave_path: Path | None = None
+        self._autosave_cache = None
         self._autosave_every = 0
         self._stores_since_flush = 0
         self.autosave_flushes = 0
@@ -322,7 +331,7 @@ class QueryCache:
         flush_now = False
         with self._lock:
             self._lru.put(key, bool(verdict))
-            if self._autosave_path is not None:
+            if self._autosave_cache is not None:
                 self._stores_since_flush += 1
                 if self._stores_since_flush >= self._autosave_every:
                     flush_now = True
@@ -331,29 +340,28 @@ class QueryCache:
 
     # -- incremental spill ---------------------------------------------------
 
-    def set_autosave(
-        self, path: str | os.PathLike | None, every: int = 512
-    ) -> None:
-        """Spill the warm tier to ``path`` every ``every`` stores.
+    def set_autosave(self, cache, every: int = 512) -> None:
+        """Spill the warm tier into ``cache`` every ``every`` stores.
 
         The original persistence contract spilled only at process exit,
         so a crashed or SIGKILLed daemon lost its entire warm tier.  With
         autosave configured, :meth:`store` counts insertions and flushes
-        the tier incrementally; ``path=None`` disables autosave again.
+        the tier incrementally; ``cache=None`` disables autosave again.
         """
         with self._lock:
-            self._autosave_path = Path(path) if path is not None else None
+            self._autosave_cache = cache
             self._autosave_every = max(1, int(every))
             self._stores_since_flush = 0
 
     def flush(self) -> int:
-        """Force a spill to the autosave path now; returns entries written."""
+        """Force a spill into the autosave cache now; returns the entries
+        of the merged tier (0 when autosave is off)."""
         with self._lock:
-            path = self._autosave_path
+            cache = self._autosave_cache
             self._stores_since_flush = 0
-        if path is None:
+        if cache is None:
             return 0
-        written = self.save(path)
+        written = self.save(cache)
         if written:
             self.autosave_flushes += 1
         return written
@@ -377,70 +385,41 @@ class QueryCache:
 
     # -- persistence ---------------------------------------------------------
 
-    @staticmethod
-    def _read_entries(path: Path) -> dict[str, bool] | None:
-        """The valid digest -> verdict entries persisted at ``path``
-        (None on any failure mode: missing, undecodable, wrong format)."""
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != QCACHE_FORMAT
-            or not isinstance(payload.get("entries"), dict)
-        ):
-            return None
-        return {
-            digest: verdict
-            for digest, verdict in payload["entries"].items()
-            if isinstance(digest, str) and isinstance(verdict, bool)
-        }
+    def save(self, cache) -> int:
+        """Merge this process's tier into ``cache``'s tier entry.
 
-    def save(self, path: str | os.PathLike) -> int:
-        """Merge this process's tier into the persisted file.
-
-        The original spill was a blind overwrite -- last writer wins, so
-        two shard workers flushing concurrently silently dropped each
-        other's verdicts.  Like :class:`~repro.portfolio.winrate
-        .WinRateBook`, the save is now a *read-merge-write* under an
-        advisory ``flock``: re-read whatever other writers persisted
-        meanwhile, fold our entries on top (verdicts are deterministic,
-        so a key collision is always an agreement), and publish
-        atomically.  A file that already holds every entry, with the
-        same verdict, is left as it is: replacing a file costs a data
-        flush on some filesystems, and a batch answered from the
-        artifact cache has nothing new to publish.  Returns the number
-        of entries in the merged file; a failed write never raises past
-        a return of 0.
+        The save is the cache's one read-merge-write
+        (:meth:`~repro.engine.cache.ArtifactCache.merge_blob`): whatever
+        other writers persisted meanwhile is re-read under a lock and our
+        entries are folded on top (verdicts are deterministic, so a key
+        collision is always an agreement).  An entry that already holds
+        every entry, with the same verdict, is left as it is: a batch
+        answered from the artifact cache has nothing new to publish.
+        Returns the number of entries in the merged tier; a failed write
+        never raises past a return of 0.
         """
-        from ..util.locks import atomic_write_text, file_lock
-
         with self._lock:
             entries = dict(self._warm)
             for key, verdict in self._lru.items():
                 entries[key_digest(key)] = bool(verdict)
-        path = Path(path)
         try:
-            with file_lock(path.with_suffix(".lock")):
-                on_disk = self._read_entries(path)
-                merged = dict(on_disk or {})
-                merged.update(entries)
-                if merged != on_disk:
-                    body = {"format": QCACHE_FORMAT, "entries": merged}
-                    atomic_write_text(path, json.dumps(body, sort_keys=True))
+            merged = cache.merge_blob(
+                TIER_NAMESPACE,
+                QCACHE_FORMAT,
+                lambda stored: {**(stored or {}), **entries},
+            )
         except OSError:
             return 0
         return len(merged)
 
-    def load(self, path: str | os.PathLike) -> int:
-        """Warm-start from a previous :meth:`save`; returns entries loaded.
+    def load(self, cache) -> int:
+        """Warm-start from ``cache``'s tier entry; returns entries loaded.
 
-        Any failure mode (missing file, decode error, wrong format) is a
-        silent no-op: the warm tier is an accelerator, never a
-        correctness dependency.
+        A missing entry, or one the cache quarantines as corrupt, loads
+        nothing: the warm tier is an accelerator, never a correctness
+        dependency.
         """
-        entries = self._read_entries(Path(path)) or {}
+        entries = cache.get_blob(TIER_NAMESPACE, QCACHE_FORMAT) or {}
         with self._lock:
             self._warm.update(entries)
         return len(entries)

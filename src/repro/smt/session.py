@@ -2,8 +2,8 @@
 
 The verifier's abstraction passes issue long runs of *near-identical*
 queries -- the same region conjoined with one more predicate literal, the
-same trace prefix with a different suffix.  A fresh :class:`~repro.smt
-.solver.Solver` pays full Tseitin encoding, fresh variable allocation, and
+same trace prefix with a different suffix.  A fresh solver per query
+would pay full Tseitin encoding, fresh variable allocation, and
 re-derivation of every theory lemma on each of them.  A :class:`Session`
 instead keeps the SAT instance alive and solves each formula *under an
 assumption literal*:

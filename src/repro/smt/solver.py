@@ -1,20 +1,15 @@
-"""Lazy DPLL(T) SMT solver for quantifier-free linear integer arithmetic.
+"""SMT entry points for quantifier-free linear integer arithmetic.
 
-Combines the CDCL SAT solver (:mod:`repro.smt.sat`) with the LIA conjunction
-procedure (:mod:`repro.smt.lia`) in the classic lazy loop: the propositional
-skeleton is solved first; the implied set of theory literals is checked for
-consistency; an inconsistent set yields a blocking clause built from the
-theory unsat core, and the loop repeats.
-
-Also exposes the fast conjunction-level entry points the verifier uses on its
-hot paths (:func:`is_sat_conjunction`, :func:`entails`), which bypass the SAT
-engine entirely.
+The fast conjunction-level entry points the verifier uses on its hot
+paths (:func:`is_sat_conjunction`, :func:`entails`) go straight to the
+LIA conjunction procedure (:mod:`repro.smt.lia`), bypassing the SAT
+engine entirely.  Any other formula runs on the incremental
+:mod:`repro.smt.session`, whose lazy DPLL(T) loop combines the CDCL SAT
+solver (:mod:`repro.smt.sat`) with the LIA procedure.
 
 Every verdict computed here is memoized in the shared, bounded
-:data:`repro.smt.qcache.SAT_CACHE` under canonicalized keys, every query is
-attributed to its calling stage by :mod:`repro.smt.profile`, and
-non-conjunctive queries run on the incremental :mod:`repro.smt.session`
-rather than a throwaway :class:`Solver`.
+:data:`repro.smt.qcache.SAT_CACHE` under canonicalized keys, and every
+query is attributed to its calling stage by :mod:`repro.smt.profile`.
 """
 
 from __future__ import annotations
@@ -23,8 +18,8 @@ import time
 from typing import Iterable, Sequence
 
 from . import lia
-from .cnf import AtomTable, nnf_of, rewrite_to_le, to_nnf, tseitin
-from .linear import LinEq, LinExpr, LinLe
+from .cnf import nnf_of
+from .linear import LinEq, LinLe
 from .profile import PROFILER
 from .qcache import (
     SAT_CACHE,
@@ -34,22 +29,10 @@ from .qcache import (
     remember_alias,
     term_key,
 )
-from .sat import SAT, SatSolver
-from .terms import (
-    And,
-    BoolConst,
-    Cmp,
-    FALSE,
-    TRUE,
-    Term,
-    and_,
-    free_vars,
-    not_,
-)
+from .terms import And, BoolConst, Cmp, FALSE, TRUE, Term, and_, not_
 
 __all__ = [
     "SmtResult",
-    "Solver",
     "ConjunctionContext",
     "is_sat",
     "is_valid",
@@ -79,51 +62,6 @@ class SmtResult:
 
 #: Safety valve on the number of lazy refinement rounds.
 MAX_THEORY_ROUNDS = 10_000
-
-
-class Solver:
-    """A single-query lazy SMT solver instance."""
-
-    def __init__(self, formula: Term):
-        self.formula = formula
-        self._sat = SatSolver()
-        self._table = AtomTable(self._sat.new_var)
-
-    def check(self) -> SmtResult:
-        le_form = rewrite_to_le(self.formula)
-        nnf = to_nnf(le_form)
-        if nnf == TRUE:
-            return SmtResult("sat", {name: 0 for name in free_vars(self.formula)})
-        tseitin(nnf, self._sat, self._table)
-        for _ in range(MAX_THEORY_ROUNDS):
-            if self._sat.solve() != SAT:
-                return SmtResult("unsat")
-            model = self._sat.model()
-            constraints: list[LinLe] = []
-            origins: list[int] = []  # SAT literal for each constraint
-            one = LinExpr({}, 1)
-            for v in self._table.theory_vars():
-                expr = self._table.expr_for(v)
-                assert expr is not None
-                if model.get(v, False):
-                    constraints.append(LinLe(expr))
-                    origins.append(v)
-                else:
-                    # not (expr <= 0)  ==  -expr + 1 <= 0   (integers)
-                    constraints.append(LinLe((-expr) + one))
-                    origins.append(-v)
-            result = lia.solve_conjunction(constraints)
-            if result.is_sat:
-                env = dict(result.model or {})
-                for name in free_vars(self.formula):
-                    env.setdefault(name, 0)
-                return SmtResult("sat", env)
-            core = result.core or frozenset(range(len(constraints)))
-            blocking = [-origins[i] for i in core]
-            if not blocking:
-                return SmtResult("unsat")
-            self._sat.add_clause(blocking)
-        raise RuntimeError("DPLL(T) loop exceeded its round budget")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ payload line), then the payload as one line of compact JSON.  Every way
 a file can stop being exactly that entry -- a flipped payload byte, a
 cut inside or right after the header, a header without its checksum, a
 valid entry under another key -- is a quarantined miss that heals on
-the next store.  Files of the earlier format are never read.
+the next store.  Files of the earlier formats are never read.
+
+The SMT verdict tier and the win-rate book are one entry each, keyed by
+their format; two of them in one namespace are entries of two formats.
 """
 
 import hashlib
@@ -13,11 +16,15 @@ import json
 
 import pytest
 
+import repro.portfolio.winrate as winrate
+import repro.smt.qcache as qcache
 from repro.acfa.acfa import empty_acfa
 from repro.circ.result import CircSafe, CircStats, CircUnknown
 from repro.engine.artifacts import result_to_obj, term_to_obj
 from repro.engine.cache import ArtifactCache
+from repro.portfolio.winrate import WinRateBook
 from repro.smt import terms as T
+from repro.smt.qcache import QueryCache
 
 PRED = T.Cmp("==", T.Var("state"), T.IntConst(1))
 
@@ -65,11 +72,54 @@ def _blob_namespace(kind):
     return store, lookup
 
 
+def _format_keyed(module, name):
+    """Run a store or lookup with ``module.name``, the format that keys
+    the store's one entry, set from ``key``."""
+
+    def wrap(fn):
+        def run(cache, key):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(module, name, f"{getattr(module, name)}-{key}")
+                return fn(cache, key)
+
+        return run
+
+    return wrap
+
+
+@_format_keyed(qcache, "QCACHE_FORMAT")
+def _store_tier(cache, key):
+    tier = QueryCache()
+    tier.store(f"query-{key}", False)
+    tier.save(cache)
+
+
+@_format_keyed(qcache, "QCACHE_FORMAT")
+def _lookup_tier(cache, key):
+    tier = QueryCache()
+    tier.load(cache)
+    return tier.lookup(f"query-{key}")
+
+
+@_format_keyed(winrate, "BOOK_FORMAT")
+def _store_book(cache, key):
+    book = WinRateBook(cache)
+    book.record(f"shape-{key}", "circ", won=True, time_ms=1.0)
+    book.save()
+
+
+@_format_keyed(winrate, "BOOK_FORMAT")
+def _lookup_book(cache, key):
+    return WinRateBook(cache).counts or None
+
+
 NAMESPACES = {
     "objects": (_store_object, _lookup_object),
     "shapes": (_store_shape, _lookup_shape),
     "plans": _blob_namespace("plans"),
     "absint": _blob_namespace("absint"),
+    "smt": (_store_tier, _lookup_tier),
+    "winrates": (_store_book, _lookup_book),
 }
 
 
@@ -219,7 +269,17 @@ def test_v1_files_at_their_v1_paths_are_neither_read_nor_unlinked(tmp_path):
         )
         for kind in ("plans", "absint")
     ]
-    files = [v1_object, v1_shape, *v1_blobs]
+    # The SMT tier and the win-rate book had files of their own.
+    tier = tmp_path / "smt" / "qcache.json"
+    tier.parent.mkdir()
+    tier.write_text(
+        json.dumps({"format": "smt-qcache-v1", "entries": {"d" * 64: True}})
+    )
+    book = tmp_path / "winrates.json"
+    book.write_text(
+        json.dumps({"shapes": {"s": {"circ": {"wins": 1, "runs": 1, "total_ms": 1.0}}}})
+    )
+    files = [v1_object, v1_shape, *v1_blobs, tier, book]
     before = {path: path.read_bytes() for path in files}
 
     cache = ArtifactCache(tmp_path)
@@ -227,5 +287,14 @@ def test_v1_files_at_their_v1_paths_are_neither_read_nor_unlinked(tmp_path):
     assert cache.seed_predicates("s1", "fp") == ()
     assert cache.get_blob("plans", "k1") is None
     assert cache.get_blob("absint", "k1") is None
+    assert QueryCache().load(cache) == 0
+    assert WinRateBook(cache).counts == {}
     assert cache.stats() == {"hits": 0, "misses": 1, "corrupt": 0}
+    # Saving the tier and the book leaves their former files as they were.
+    tier_cache = QueryCache()
+    tier_cache.store("k", True)
+    assert tier_cache.save(cache) == 1
+    new_book = WinRateBook(cache)
+    new_book.record("s", "circ", won=True, time_ms=1.0)
+    new_book.save()
     assert {path: path.read_bytes() for path in files} == before

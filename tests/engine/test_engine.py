@@ -9,7 +9,6 @@ import pytest
 
 import repro.engine.engine as engine_module
 import repro.lang.lower as lower
-import repro.portfolio.winrate as winrate
 from repro.circ.circ import circ
 from repro.engine import (
     BatchItem,
@@ -20,6 +19,7 @@ from repro.engine import (
     run_batch,
     verify_one,
 )
+from repro.engine.cache import ArtifactCache
 from repro.lang.lexer import LexError
 from repro.lang.parser import ParseError
 from repro.lang.lower import lower_source
@@ -430,16 +430,22 @@ def count_tier_calls(monkeypatch) -> Counter:
     for name in ("load", "save"):
         real = getattr(QueryCache, name)
 
-        def counting(self, path, _real=real, _name=name):
+        def counting(self, cache, _real=real, _name=name):
             calls[_name] += 1
-            return _real(self, path)
+            return _real(self, cache)
 
         monkeypatch.setattr(QueryCache, name, counting)
     return calls
 
 
+def tier_file(root):
+    """The one file of the SMT tier's cache entry under ``root``."""
+    (path,) = (root / "smt").glob("*.json")
+    return path
+
+
 def tier_entries(root) -> dict:
-    return json.loads((root / "smt" / "qcache.json").read_text())["entries"]
+    return json.loads(tier_file(root).read_bytes().split(b"\n")[1])
 
 
 def test_batch_answered_from_the_cache_leaves_the_smt_tier_alone(
@@ -448,7 +454,7 @@ def test_batch_answered_from_the_cache_leaves_the_smt_tier_alone(
     """A batch answered entirely from the artifact cache runs no job, so
     it neither loads nor saves the SMT tier, and the file is untouched."""
     run_batch(ITEMS, cache_dir=str(tmp_path), workers=1)
-    tier = tmp_path / "smt" / "qcache.json"
+    tier = tier_file(tmp_path)
     before = tier.stat()
     calls = count_tier_calls(monkeypatch)
     events = EventLog()
@@ -485,10 +491,11 @@ def test_cold_batch_after_a_warm_one_loads_the_tier_before_its_first_job(
     assert tier_saved["entries"] == len(saved)
 
 
-def book_runs(path) -> Counter:
-    """Runs per analysis in the book at ``path``, over every shape."""
+def book_runs(root) -> Counter:
+    """Runs per analysis in the book under cache root ``root``, over
+    every shape."""
     runs = Counter()
-    for cells in WinRateBook(path).counts.values():
+    for cells in WinRateBook(ArtifactCache(root)).counts.values():
         for analysis, cell in cells.items():
             runs[analysis] += cell["runs"]
     return runs
@@ -498,22 +505,22 @@ def test_in_process_portfolio_batch_saves_its_book_once(tmp_path, monkeypatch):
     """The jobs of one batch share one win-rate book, replaced once after
     the last job, and it holds a run for every analysis that ran."""
     writes = []
-    real = winrate.atomic_write_text
+    real = ArtifactCache._write
 
-    def counting(path, text):
-        writes.append(path)
-        real(path, text)
+    def counting(self, namespace, fields, payload):
+        writes.append(namespace)
+        real(self, namespace, fields, payload)
 
-    monkeypatch.setattr(winrate, "atomic_write_text", counting)
+    monkeypatch.setattr(ArtifactCache, "_write", counting)
     events = EventLog()
     report = run_batch(
         ITEMS, cache_dir=str(tmp_path), workers=1, prefilter=False,
         portfolio=True, events=events,
     )
     assert report.n_jobs == 4
-    assert writes == [tmp_path / "winrates.json"]
+    assert writes.count("winrates") == 1
     ran = Counter(e["analysis"] for e in events.of_kind("portfolio_analysis_finished"))
-    assert book_runs(tmp_path / "winrates.json") == ran
+    assert book_runs(tmp_path) == ran
     assert sum(ran.values()) >= report.n_jobs
 
 
@@ -534,4 +541,4 @@ def test_fleet_portfolio_batch_keeps_every_jobs_runs_in_the_book(tmp_path):
         for analysis in e["portfolio_ms"]
         if analysis not in e["portfolio_cancelled"]
     )
-    assert book_runs(tmp_path / "winrates.json") == ran
+    assert book_runs(tmp_path) == ran

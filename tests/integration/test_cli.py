@@ -435,9 +435,11 @@ def test_check_and_batch_agree_when_circ_gives_up(
 
     from repro import cli
     from repro.engine import scheduler
+    from repro.static import prefilter
 
     gives_up = functools.partial(circ, max_outer=1)
     monkeypatch.setattr(cli, "circ", gives_up)
+    monkeypatch.setattr(prefilter, "circ", gives_up)
     monkeypatch.setattr(scheduler, "circ", gives_up)
     assert main(["check", fig1_file, "--var", "x"]) == 4
     assert "x: UNKNOWN" in capsys.readouterr().out
@@ -449,11 +451,13 @@ def test_check_and_batch_agree_when_circ_gives_up(
 def test_internal_circ_failure_is_not_a_verdict(fig1_file, monkeypatch, capsys):
     """An internal CIRC failure exits 2, never 1 (race) or a verdict."""
     from repro import cli
+    from repro.static import prefilter
 
     def broken(*args, **kwargs):
         raise CircError("counterexample failed concrete replay")
 
     monkeypatch.setattr(cli, "circ", broken)
+    monkeypatch.setattr(prefilter, "circ", broken)
     assert main(["check", fig1_file, "--var", "x"]) == 2
     assert "internal CIRC failure" in capsys.readouterr().err
 

@@ -133,7 +133,7 @@ def test_schedule_follows_the_books_order(tmp_path):
     """Once the book has seen CIRC win a shape, CIRC runs first there,
     and its proof cancels both baselines."""
     cfa = lower_source(LOCKED)
-    book = WinRateBook(tmp_path / "winrates.json")
+    book = WinRateBook(ArtifactCache(tmp_path))
     book.record(shape_class(cfa, "x"), "circ", True, 1.0)
     report = run_portfolio(cfa, "x", winrates=book, **BUDGET)
     assert [o.analysis for o in report.outcomes] == ["circ", "racer", "absint"]
@@ -142,11 +142,11 @@ def test_schedule_follows_the_books_order(tmp_path):
 
 
 def test_book_records_only_the_analyses_that_ran(tmp_path):
-    book = WinRateBook(tmp_path / "winrates.json")
+    book = WinRateBook(ArtifactCache(tmp_path))
     report = run_portfolio(lower_source(LOCKED), "x", winrates=book, **BUDGET)
     assert report.cancelled == ("absint", "circ")
     book.save()  # run_portfolio only records; the book's creator saves
-    cells = WinRateBook(tmp_path / "winrates.json").counts[report.shape]
+    cells = WinRateBook(ArtifactCache(tmp_path)).counts[report.shape]
     assert set(cells) == {"racer"}
     assert (cells["racer"]["wins"], cells["racer"]["runs"]) == (1, 1)
 
@@ -211,7 +211,7 @@ def test_to_circ_result_synthesis():
 
 
 def test_winrate_learning_reorders_schedule(tmp_path):
-    book = WinRateBook(tmp_path / "winrates.json")
+    book = WinRateBook(ArtifactCache(tmp_path))
     for _ in range(3):
         run_portfolio(
             lower_source(FIG1), "x", winrates=book, **BUDGET
@@ -222,7 +222,7 @@ def test_winrate_learning_reorders_schedule(tmp_path):
     assert order[0] == "circ"
     # And the book survives a reload, once its creator saves it.
     book.save()
-    reloaded = WinRateBook(tmp_path / "winrates.json")
+    reloaded = WinRateBook(ArtifactCache(tmp_path))
     assert reloaded.order("atomic/small")[0] == "circ"
 
 

@@ -1,5 +1,6 @@
 """Tests for the per-shape win-rate book."""
 
+from repro.engine.cache import ArtifactCache
 from repro.lang.lower import lower_source
 from repro.portfolio.winrate import DEFAULT_ORDER, WinRateBook, shape_class
 
@@ -40,36 +41,40 @@ def test_ties_break_by_latency():
 
 
 def test_persistence_roundtrip(tmp_path):
-    path = tmp_path / "book.json"
-    book = WinRateBook(path)
+    cache = ArtifactCache(tmp_path)
+    book = WinRateBook(cache)
     book.record("bare/small", "racer", won=True, time_ms=2.0)
     book.save()
-    reloaded = WinRateBook(path)
+    reloaded = WinRateBook(cache)
     assert reloaded.win_rate("bare/small", "racer") == 1.0
 
 
 def test_corrupt_book_relearns_from_scratch(tmp_path):
-    path = tmp_path / "book.json"
+    cache = ArtifactCache(tmp_path)
+    book = WinRateBook(cache)
+    book.record("bare/small", "circ", won=True, time_ms=1.0)
+    book.save()
+    (path,) = (tmp_path / "winrates").glob("*.json")
     path.write_text("{not json")
-    book = WinRateBook(path)
+    book = WinRateBook(cache)
     assert book.order("bare/small") == DEFAULT_ORDER
+    assert cache.corrupt == 1
     book.record("bare/small", "racer", won=True, time_ms=1.0)
     book.save()
-    assert WinRateBook(path).win_rate("bare/small", "racer") == 1.0
+    assert WinRateBook(cache).win_rate("bare/small", "racer") == 1.0
 
 
 def test_concurrent_books_merge_instead_of_overwriting(tmp_path):
-    """Two processes holding the same book file both save: the second
+    """Two processes holding the same book entry both save: the second
     save must merge its deltas into what the first wrote, not clobber
     it (the read-merge-write discipline the serve daemon relies on)."""
-    path = tmp_path / "book.json"
-    a = WinRateBook(path)
-    b = WinRateBook(path)
+    a = WinRateBook(ArtifactCache(tmp_path))
+    b = WinRateBook(ArtifactCache(tmp_path))
     a.record("bare/small", "racer", won=True, time_ms=1.0)
     b.record("bare/small", "circ", won=True, time_ms=2.0)
     a.save()
     b.save()  # must not lose a's racer win
-    merged = WinRateBook(path)
+    merged = WinRateBook(ArtifactCache(tmp_path))
     assert merged.win_rate("bare/small", "racer") == 1.0
     assert merged.win_rate("bare/small", "circ") == 1.0
 
@@ -77,11 +82,11 @@ def test_concurrent_books_merge_instead_of_overwriting(tmp_path):
 def test_save_is_delta_based_not_cumulative(tmp_path):
     """Saving twice must not double-count: deltas are consumed by the
     save that writes them."""
-    path = tmp_path / "book.json"
-    book = WinRateBook(path)
+    cache = ArtifactCache(tmp_path)
+    book = WinRateBook(cache)
     book.record("s", "racer", won=True, time_ms=1.0)
     book.save()
     book.save()
-    reloaded = WinRateBook(path)
+    reloaded = WinRateBook(cache)
     cell = reloaded.counts["s"]["racer"]
     assert cell["wins"] == 1 and cell["runs"] == 1

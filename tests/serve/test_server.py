@@ -17,6 +17,7 @@ from repro.nesc.programs import BENCHMARKS, TEST_AND_SET_SOURCE
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import ErrorCode
 from repro.serve.server import RaceServer, ServeConfig
+from repro.smt.qcache import SAT_CACHE
 
 RACY = """global int y;
 thread main {
@@ -388,6 +389,29 @@ def test_drain_finishes_in_flight_work(tmp_path):
 
     outcome = with_server(tmp_path, scenario)
     assert outcome in ("race", ErrorCode.RETRYABLE)
+
+
+def test_a_drained_server_stops_spilling_the_smt_tier(tmp_path):
+    """Draining disarms the autosave the daemon armed on the
+    process-wide SMT cache: later stores in the same process neither
+    count toward a spill nor rewrite the daemon's tier entry."""
+
+    async def scenario(server, sock):
+        async with await ServeClient.connect(socket=sock) as c:
+            await c.submit([{"model": "m", "source": RACY}])
+
+    with_server(tmp_path, scenario, qcache_flush_every=256)
+    (tier,) = (tmp_path / "cache" / "smt").glob("*.json")
+    before = tier.stat()
+    flushes = SAT_CACHE.autosave_flushes
+    try:
+        for i in range(600):
+            SAT_CACHE.store(f"after-drain-{i}", True)
+        assert SAT_CACHE.autosave_flushes == flushes
+        after = tier.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    finally:
+        SAT_CACHE.clear()
 
 
 def test_memory_ceiling_evicts_lru_context(tmp_path):

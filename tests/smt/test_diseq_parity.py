@@ -287,10 +287,6 @@ def _observed_run(source, variable):
 
 
 def test_circ_answers_alike_with_the_reference_swapped_in(monkeypatch):
-    # The serve daemon's HotState sets the process-wide cache spilling every
-    # N stores and never turns that off, so after tests/serve the spill
-    # count depends on stores made before this test: off here.
-    monkeypatch.setattr(SAT_CACHE, "_autosave_path", None)
     queries = list(_swap_queries())
     assert len(queries) == 3
     for name, source, variable in queries:

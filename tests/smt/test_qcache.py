@@ -1,5 +1,6 @@
 """Tests for the unified SMT query cache: canonical keys, LRU, persistence."""
 
+from repro.engine.cache import ArtifactCache
 from repro.smt import terms as T
 from repro.smt.cnf import rewrite_to_le, to_nnf
 from repro.smt.qcache import (
@@ -145,17 +146,23 @@ def test_query_cache_disabled_bypasses():
     assert qc.lookup(key) is None
 
 
+def _tier_file(root):
+    """The one file of the tier's cache entry under ``root``."""
+    (path,) = (root / "smt").glob("*.json")
+    return path
+
+
 def test_query_cache_persistence_roundtrip(tmp_path):
-    path = tmp_path / "qcache.json"
+    cache = ArtifactCache(tmp_path)
     qc = QueryCache(maxsize=8)
     k1 = conjunction_key([T.le(x, T.num(1))])
     k2 = term_key(_nnf(T.or_(T.eq(x, T.num(0)), T.ge(y, T.num(3)))))
     qc.store(k1, True)
     qc.store(k2, False)
-    assert qc.save(path) == 2
+    assert qc.save(cache) == 2
 
     warm = QueryCache(maxsize=8)
-    assert warm.load(path) == 2
+    assert warm.load(cache) == 2
     # Warm hits are served by digest and promoted to the primary tier.
     assert warm.lookup(k1) is True
     assert warm.lookup(k2) is False
@@ -165,12 +172,37 @@ def test_query_cache_persistence_roundtrip(tmp_path):
 
 
 def test_query_cache_load_tolerates_garbage(tmp_path):
-    path = tmp_path / "bad.json"
+    cache = ArtifactCache(tmp_path)
+    assert QueryCache().load(cache) == 0  # no tier yet
+    qc = QueryCache()
+    qc.store("k", True)
+    qc.save(cache)
+    path = _tier_file(tmp_path)
     path.write_text("{not json")
-    assert QueryCache().load(path) == 0
+    assert QueryCache().load(cache) == 0
+    assert not path.exists() and cache.corrupt == 1
+    qc.save(cache)
     path.write_text('{"format": "something-else", "entries": {}}')
-    assert QueryCache().load(path) == 0
-    assert QueryCache().load(tmp_path / "missing.json") == 0
+    assert QueryCache().load(cache) == 0
+    assert cache.corrupt == 2
+
+
+def test_a_flipped_verdict_is_never_served(tmp_path):
+    """A tier whose payload had one verdict flipped fails its checksum:
+    it loads nothing, so the query is solved again, correctly."""
+    clear_conjunction_cache()
+    unsat = [T.le(x, T.num(0)), T.ge(x, T.num(1))]
+    assert not is_sat_conjunction(unsat)
+    cache = ArtifactCache(tmp_path)
+    SAT_CACHE.save(cache)
+    path = _tier_file(tmp_path)
+    head, line = path.read_bytes().split(b"\n")[:2]
+    assert line.count(b"false") == 1
+    path.write_bytes(head + b"\n" + line.replace(b"false", b"true ") + b"\n")
+    clear_conjunction_cache()
+    assert SAT_CACHE.load(cache) == 0
+    assert not is_sat_conjunction(unsat)
+    clear_conjunction_cache()
 
 
 # -- integration with the solver entry points --------------------------------
@@ -213,30 +245,29 @@ def test_cached_verdicts_are_correct_across_spellings():
 
 
 def test_autosave_flushes_every_n_stores(tmp_path):
-    path = tmp_path / "qcache.json"
+    cache = ArtifactCache(tmp_path)
     qc = QueryCache()
-    qc.set_autosave(path, every=3)
+    qc.set_autosave(cache, every=3)
     qc.store("k1", True)
     qc.store("k2", False)
-    assert not path.exists()  # under the threshold: nothing spilled yet
+    assert not (tmp_path / "smt").exists()  # under the threshold: nothing spilled yet
     qc.store("k3", True)
-    assert path.exists()
+    assert _tier_file(tmp_path).exists()
     assert qc.autosave_flushes == 1
     # The spilled tier warm-starts a fresh cache.
     warm = QueryCache()
-    assert warm.load(path) == 3
+    assert warm.load(cache) == 3
     assert warm.lookup("k2") is False
 
 
 def test_autosave_disable_and_forced_flush(tmp_path):
-    path = tmp_path / "qcache.json"
     qc = QueryCache()
-    qc.set_autosave(path, every=1000)
+    qc.set_autosave(ArtifactCache(tmp_path), every=1000)
     qc.store("k1", True)
     assert qc.flush() == 1  # explicit flush spills below the threshold
     qc.set_autosave(None)
     qc.store("k2", True)
-    assert qc.flush() == 0  # disabled: no path, nothing written
+    assert qc.flush() == 0  # disabled: no cache, nothing written
 
 
 # -- multi-writer warm tier (the sharded engine's workers) --------------------
@@ -246,25 +277,29 @@ def test_save_merges_instead_of_overwriting(tmp_path):
     """Two caches with disjoint entries saving to one path accumulate:
     the second save must re-read and fold, not blindly overwrite (the
     original last-writer-wins spill lost the first worker's verdicts)."""
-    path = tmp_path / "qcache.json"
+    cache = ArtifactCache(tmp_path)
     a, b = QueryCache(maxsize=8), QueryCache(maxsize=8)
     a.store("only-in-a", True)
     b.store("only-in-b", False)
-    assert a.save(path) == 1
-    assert b.save(path) == 2  # merged size, not b's own size
+    assert a.save(cache) == 1
+    assert b.save(cache) == 2  # merged size, not b's own size
 
     warm = QueryCache(maxsize=8)
-    assert warm.load(path) == 2
+    assert warm.load(cache) == 2
     assert warm.lookup("only-in-a") is True
     assert warm.lookup("only-in-b") is False
 
 
 def test_save_returns_merged_count_and_is_idempotent(tmp_path):
-    path = tmp_path / "qcache.json"
+    cache = ArtifactCache(tmp_path)
     qc = QueryCache(maxsize=8)
     qc.store("k", True)
-    assert qc.save(path) == 1
-    assert qc.save(path) == 1  # re-merging the same entries is stable
+    assert qc.save(cache) == 1
+    before = _tier_file(tmp_path).stat()
+    assert qc.save(cache) == 1  # re-merging the same entries is stable
+    after = _tier_file(tmp_path).stat()
+    # ... and writes nothing.
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 def test_two_process_concurrent_save_loses_nothing(tmp_path):
@@ -278,24 +313,24 @@ def test_two_process_concurrent_save_loses_nothing(tmp_path):
     script = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
+        "from repro.engine.cache import ArtifactCache\n"
         "from repro.smt.qcache import QueryCache\n"
-        "path, tag = sys.argv[1], sys.argv[2]\n"
+        "cache, tag = ArtifactCache(sys.argv[1]), sys.argv[2]\n"
         "qc = QueryCache(maxsize=256)\n"
         "for i in range(100):\n"
         "    qc.store(f'{tag}-{i}', i % 2 == 0)\n"
         "    if i % 10 == 9:\n"
-        "        qc.save(path)\n"
-        "qc.save(path)\n"
+        "        qc.save(cache)\n"
+        "qc.save(cache)\n"
     )
-    path = tmp_path / "qcache.json"
     procs = [
-        subprocess.Popen([sys.executable, "-c", script, str(path), tag])
+        subprocess.Popen([sys.executable, "-c", script, str(tmp_path), tag])
         for tag in ("a", "b")
     ]
     for p in procs:
         assert p.wait() == 0
     warm = QueryCache(maxsize=256)
-    assert warm.load(path) == 200  # no delta lost to a concurrent flush
+    assert warm.load(ArtifactCache(tmp_path)) == 200  # no delta lost to a concurrent flush
     for tag in ("a", "b"):
         assert warm.lookup(f"{tag}-3") is False
         assert warm.lookup(f"{tag}-4") is True

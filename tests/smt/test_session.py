@@ -3,8 +3,9 @@
 The property test mirrors the expression shapes of :mod:`repro.fuzz.gen`
 (small variable pool, constants 0..2, all six comparisons, and/or/not
 nesting) and checks that one long-lived :class:`Session` agrees with a
-fresh single-query :class:`Solver` on every formula -- the soundness
-contract that makes learned-clause and theory-lemma retention safe.
+fresh single-query :class:`Solver` (the reference in
+``solver_reference.py``) on every formula -- the soundness contract that
+makes learned-clause and theory-lemma retention safe.
 """
 
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from repro.smt import terms as T
 from repro.smt.sat import SAT, SatSolver, UNSAT
 from repro.smt.session import Session
-from repro.smt.solver import Solver
 from repro.smt.terms import evaluate
+from tests.smt.solver_reference import Solver
 
 x, y = T.var("x"), T.var("y")
 

@@ -6,6 +6,9 @@ or ``repro.portfolio``.  Jobs leave the process one way only: the shard
 coordinator starts every worker process, so no module outside
 ``repro.shard`` imports ``repro.shard.worker``, nor ``subprocess`` or
 ``multiprocessing``, with which it could start processes of its own.
+Files under a cache root are merged one way only: the artifact cache
+holds the one locked read-merge-write, so no other module imports
+``fcntl``, with which it could lock and merge files of its own.
 Every rule covers lazy imports inside a function too, which is how
 import cycles and second transports usually get papered over.
 """
@@ -35,6 +38,11 @@ RULES = {
         "repro",
         "repro.shard",
         ("subprocess", "multiprocessing"),
+    ),
+    "one-locked-merge": (
+        "repro",
+        "repro.engine.cache",
+        ("fcntl",),
     ),
 }
 
