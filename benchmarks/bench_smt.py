@@ -12,8 +12,12 @@ capture, plus the fast Table 1 rows unless ``--quick``):
   session's retained encodings/lemmas.
 
 Every mode must produce identical verdicts -- the cache and the session
-are pure accelerators.  The warm/cold ratio is the CI gate: a cached
-re-run may never be slower than the run that filled the cache.
+are pure accelerators.  The CI gate is the warm/cold ratio of the SMT
+stage's own wall time (``PROFILER.totals()["wall_s"]``, the time spent
+inside solver queries): a cached re-run's queries may never take longer
+than those of the run that filled the cache.  The whole-run ratio is
+reported too, but the run is mostly reach and refinement, which the
+cache does not touch, so it measures the cache only faintly.
 
 Standalone run (writes ``BENCH_smt.json``)::
 
@@ -69,35 +73,43 @@ def _reset_acceleration() -> None:
     reset_default_session()
 
 
+def _timed_pass(items) -> tuple[dict[str, bool], float, float]:
+    """Verdicts, wall time and SMT-stage wall time of one pass."""
+    PROFILER.reset()
+    t0 = time.perf_counter()
+    verdicts = run_workload(items)
+    return verdicts, time.perf_counter() - t0, PROFILER.totals()["wall_s"]
+
+
 def run_modes(items, repeats: int = 3) -> dict:
     """nocache / cold / warm timings (best of ``repeats``) + stats."""
+    wall = {"nocache": float("inf"), "cold": float("inf"), "warm": float("inf")}
+    smt = dict(wall)
+
+    def best(mode: str) -> dict[str, bool]:
+        verdicts, wall_s, smt_s = _timed_pass(items)
+        wall[mode] = min(wall[mode], wall_s)
+        smt[mode] = min(smt[mode], smt_s)
+        return verdicts
+
     # nocache: acceleration off entirely.
-    nocache_s = float("inf")
     SAT_CACHE.enabled = False
     try:
         for _ in range(repeats):
             _reset_acceleration()
-            t0 = time.perf_counter()
-            verdicts_nocache = run_workload(items)
-            nocache_s = min(nocache_s, time.perf_counter() - t0)
+            verdicts_nocache = best("nocache")
     finally:
         SAT_CACHE.enabled = True
 
     # cold: acceleration on, but every repeat starts from empty state.
-    cold_s = float("inf")
     for _ in range(repeats):
         _reset_acceleration()
-        t0 = time.perf_counter()
-        verdicts_cold = run_workload(items)
-        cold_s = min(cold_s, time.perf_counter() - t0)
+        verdicts_cold = best("cold")
 
     # warm: re-run on the state the last cold repeat left behind.
-    PROFILER.reset()
-    warm_s = float("inf")
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        verdicts_warm = run_workload(items)
-        warm_s = min(warm_s, time.perf_counter() - t0)
+        verdicts_warm = best("warm")
+    nocache_s, cold_s, warm_s = wall["nocache"], wall["cold"], wall["warm"]
 
     assert verdicts_nocache == verdicts_cold == verdicts_warm, (
         "acceleration changed a verdict: "
@@ -109,7 +121,9 @@ def run_modes(items, repeats: int = 3) -> dict:
             "cold": round(cold_s, 4),
             "warm": round(warm_s, 4),
         },
+        "smt_wall_s": {mode: round(s, 4) for mode, s in smt.items()},
         "speedup_warm_vs_cold": round(cold_s / max(warm_s, 1e-9), 3),
+        "smt_speedup_warm_vs_cold": round(smt["cold"] / max(smt["warm"], 1e-9), 3),
         "speedup_warm_vs_nocache": round(
             nocache_s / max(warm_s, 1e-9), 3
         ),
@@ -127,7 +141,7 @@ def test_warm_runs_never_slower_and_verdicts_stable():
     items = workload_items(quick=True)
     data = run_modes(items)
     assert data["verdicts"]["fig2to4/x"] is True  # test-and-set is safe
-    assert data["speedup_warm_vs_cold"] >= 1.0, data["timings_s"]
+    assert data["smt_speedup_warm_vs_cold"] >= 1.0, data["smt_wall_s"]
     # Warm runs answer overwhelmingly from the cache.
     stats = data["cache_stats"]
     assert stats["hits"] > stats["misses"], stats
@@ -182,6 +196,12 @@ def main(argv=None) -> int:
         f"warm speedup: {data['speedup_warm_vs_cold']:.2f}x over cold, "
         f"{data['speedup_warm_vs_nocache']:.2f}x over no acceleration"
     )
+    st = data["smt_wall_s"]
+    print(
+        f"SMT stage: nocache {st['nocache']:.4f}s   cold {st['cold']:.4f}s   "
+        f"warm {st['warm']:.4f}s   warm speedup "
+        f"{data['smt_speedup_warm_vs_cold']:.2f}x over cold"
+    )
     cs = data["cache_stats"]
     print(
         f"cache: {cs['hits']} hits / {cs['misses']} misses, "
@@ -207,8 +227,8 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
 
     failed = False
-    if data["speedup_warm_vs_cold"] < 1.0:
-        print("FAIL: cached re-run slower than the cold run")
+    if data["smt_speedup_warm_vs_cold"] < 1.0:
+        print("FAIL: the cached re-run's SMT queries took longer than the cold run's")
         failed = True
     if baseline is not None:
         if data.get("verdicts") != baseline.get("verdicts"):

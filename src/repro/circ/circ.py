@@ -339,9 +339,7 @@ def _concrete_fallback(
             deadline=deadline,
         )
         if result.found:
-            return RealRace(
-                steps=result.witness.steps, model={}, n_threads=n
-            )
+            return RealRace(steps=result.witness.steps, n_threads=n)
     raise RefinementFailure(
         "abstract race could not be realized or refuted "
         "(refinement found no new predicates; bounded concrete search "

@@ -30,7 +30,7 @@ from ..exec.interp import MultiProgram, replay
 from ..predabs.region import PredicateSet
 from ..reach import ArgStore
 from ..smt import terms as T
-from ..smt.solver import get_model
+from ..smt.solver import is_sat
 from .circ import CircError
 from ..reach import (
     AbstractRaceFound,
@@ -430,8 +430,7 @@ def _refine_multi(
         ct = build_trace_formula(
             main_cfa, steps, n_threads, locals_by_thread
         )
-        model = get_model(T.and_(*ct.clauses))
-        if model is not None:
+        if is_sat(T.and_(*ct.clauses)):
             return MultiUnsafe(
                 variable=race_on,
                 steps=steps,

@@ -12,11 +12,12 @@ Given an abstract error trace of the thread-context program, Refine:
    (whose provenance records the originating CFA edges), and silent
    within-block moves may be interspersed freely.
 2. **Analyzes the interleaving** -- the SSA trace formula (Figure 5) is
-   checked for satisfiability.  A model yields a genuine interleaved race,
-   validated by replay under the concrete semantics.  An unsatisfiable TF
-   is mined for new predicates, either from Craig interpolants at every cut
-   point (the "Abstractions from proofs" strategy) or from the atoms of the
-   trace clauses (classic BLAST weakest-precondition atoms).
+   checked for satisfiability.  A satisfiable TF yields a genuine
+   interleaved race, validated by replay under the concrete semantics.  An
+   unsatisfiable TF is mined for new predicates, either from Craig
+   interpolants at every cut point (the "Abstractions from proofs" strategy)
+   or from the atoms of the trace clauses (classic BLAST
+   weakest-precondition atoms).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ..cfa.ops import SsaBuilder, TraceStep, trace_formula
 from ..context.state import AbsState, CtxMove, MainMove, Move
 from ..smt import terms as T
 from ..smt.interpolate import sequence_interpolants
-from ..smt.solver import get_model
+from ..smt.solver import is_sat
 from ..reach import ReachResult
 
 __all__ = [
@@ -57,7 +58,6 @@ class RealRace:
     """A genuine concrete counterexample."""
 
     steps: list[tuple[int, Edge]]  # (thread id, CFA edge); 0 = main
-    model: dict[str, int]
     n_threads: int
 
 
@@ -481,9 +481,8 @@ def refine(
         thread_paths = dict(zip(tids, combo))
         steps = _build_interleaving(trace, owner, thread_paths, moves_of)
         ct = build_trace_formula(cfa, steps, n_threads)
-        model = get_model(T.and_(*ct.clauses))
-        if model is not None:
-            return RealRace(steps=steps, model=model, n_threads=n_threads)
+        if is_sat(T.and_(*ct.clauses)):
+            return RealRace(steps=steps, n_threads=n_threads)
         tried.append(ct)
 
     # ---- predicate mining (union across the spurious candidates) -----------

@@ -925,7 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print solver-level profiling (per-stage queries, cache, "
-        "session) and the ArgStore reuse table",
+        "session; a formula with one clause of literals counts as one "
+        "conjunction query per disjunct tried) and the ArgStore reuse table",
     )
     p.add_argument("--report", metavar="FILE", help="write a Markdown audit report")
     p.add_argument(

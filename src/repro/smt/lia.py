@@ -24,15 +24,19 @@ by the lcm of its denominators), with no Farkas combination, scale or
 model, it substitutes every equality that has a +-1 coefficient into the
 other rows; an equality without one is first divided by the gcd of its
 coefficients (which refutes it when the gcd does not divide its
-constant).  A pivot variable is then an integer affine function of the
-rest, so the reduced system has an integer solution exactly when the
-input has one.  A disequality that reduces to ``0`` refutes the
+constant), then given one by *Euclid steps*: with ``a`` its smallest
+coefficient, on ``v``, every row has ``v`` replaced by
+``v - sum((b // a) * u)`` over the equality's other terms ``b * u``, a
+unimodular change of variables that leaves ``b % a`` on each ``u``.  A
+pivot variable is then an integer affine function of the rest, so the
+reduced system has an integer solution exactly when the input has one,
+and no equality is left.  A disequality that reduces to ``0`` refutes the
 conjunction, and one that reduces to another constant is dropped.  When
-no inequality and no equality is left, the remaining variables are free,
-and finitely many disequalities (each false only on a proper hyperplane)
-cannot cover ``Z^k``: the answer is sat without a solve.  Otherwise the
-pipeline above runs on what the reduction left, splitting a disequality
-into its two strict halves only when a model violates it.  Each
+no inequality is left, the remaining variables are free, and finitely
+many disequalities (each false only on a proper hyperplane) cannot cover
+``Z^k``: the answer is sat without a solve.  Otherwise the pipeline
+above runs on the inequalities the reduction left, splitting a
+disequality into its two strict halves only when a model violates it.  Each
 inequality the reduction hands on is first divided by the gcd of its
 coefficients, the constant rounded up, which keeps its integer points: a
 strip with no integer point, such as ``2y + 2z == 1`` written as two
@@ -229,8 +233,7 @@ def is_sat_with_diseqs(
     that :func:`~repro.smt.linear.normalize_atom` returns for it; like every
     row, it is scaled to integers, so a ``Fraction`` d still means
     ``d != 0``.  The reduction of the module docstring runs first, and
-    whatever inequalities and equalities it leaves go to the elimination
-    pipeline.
+    whatever inequalities it leaves go to the elimination pipeline.
     """
     input_neqs = [_integral(lo.expr.coeffs, lo.expr.const - 1) for lo, _ in diseqs]
     eqs: list[_IntRow] = []
@@ -245,11 +248,11 @@ def is_sat_with_diseqs(
             raise TypeError(f"unknown constraint {c!r}")
 
     # An equality without a +-1 coefficient is divided by the gcd of its
-    # coefficients (``_solve``'s GCD test); if that leaves none, it waits in
-    # ``kept``.  A later substitution may give it one, so ``kept`` rejoins
-    # the queue after every pivot.
+    # coefficients (``_solve``'s GCD test).  If that leaves none, a Euclid
+    # step (module docstring) shrinks its coefficients below the smallest
+    # one, ``a``; the gcd stays 1, so the row gains a +-1 coefficient
+    # after finitely many steps.
     neqs = input_neqs
-    kept: list[_IntRow] = []
     while eqs:
         row = eqs.pop()
         coeffs, const = row
@@ -264,23 +267,25 @@ def is_sat_with_diseqs(
             g = math.gcd(*coeffs.values())
             if const % g:
                 return False
-            if g == 1:
-                kept.append(row)
-            else:
+            if g > 1:
                 eqs.append(({n: c // g for n, c in coeffs.items()}, const // g))
+                continue
+            name, a = min(coeffs.items(), key=lambda item: abs(item[1]))
+            shift = {n: c // a for n, c in coeffs.items() if n != name}
+            eqs = _add_multiple(eqs + [row], name, -1, shift, 0)
+            ineqs = _add_multiple(ineqs, name, -1, shift, 0)
+            neqs = _add_multiple(neqs, name, -1, shift, 0)
             continue
-        if kept:
-            eqs += kept
-            kept = []
-        eqs = _eliminate(eqs, name, a, row)
-        ineqs = _eliminate(ineqs, name, a, row)
-        neqs = _eliminate(neqs, name, a, row)
+        # row + (-a*b)*pivot has coefficient b - a*a*b = 0 on name.
+        eqs = _add_multiple(eqs, name, -a, *row)
+        ineqs = _add_multiple(ineqs, name, -a, *row)
+        neqs = _add_multiple(neqs, name, -a, *row)
 
     # An inequality whose coefficients share a factor g is divided by it,
     # its constant rounded up: the row keeps its integer points, and a strip
     # such as 2y + 2z == 1 that a substitution leaves as two inequalities is
     # refuted by elimination instead of sending branch-and-bound down it.
-    left: list[LinLe | LinEq] = [LinEq(LinExpr(*row)) for row in kept]
+    left: list[LinLe] = []
     for coeffs, const in ineqs:
         if coeffs:
             g = math.gcd(*coeffs.values())
@@ -319,29 +324,32 @@ def _integral(coeffs: dict[str, int | Fraction], const: int | Fraction) -> _IntR
     return {name: int(c * scale) for name, c in coeffs.items()}, int(const * scale)
 
 
-def _eliminate(
-    rows: list[_IntRow], name: str, a: int, pivot: _IntRow
+def _add_multiple(
+    rows: list[_IntRow], name: str, m: int, coeffs: dict[str, int], const: int
 ) -> list[_IntRow]:
-    """``rows`` with ``name`` substituted away by the integer row
-    ``pivot == 0``, whose coefficient ``a`` on ``name`` is +-1."""
-    pivot_coeffs, pivot_const = pivot
+    """``rows`` with ``m * b`` times the row ``(coeffs, const)`` added to
+    each row whose coefficient on ``name`` is ``b``.
+
+    With ``coeffs`` an equality whose coefficient on ``name`` is ``a =
+    +-1`` and ``m = -a``, this substitutes ``name`` away; with ``coeffs``
+    the map ``u -> q``, ``const = 0`` and ``m = -1``, it replaces ``name``
+    by ``name - sum(q * u)``.
+    """
     out: list[_IntRow] = []
     for row in rows:
-        coeffs = row[0]
-        b = coeffs.get(name)
+        b = row[0].get(name)
         if b is None:
             out.append(row)
             continue
-        # row + f*pivot has coefficient b + f*a = 0 on name, since a*a == 1.
-        f = -b * a
-        new = dict(coeffs)
-        for n, c in pivot_coeffs.items():
+        f = m * b
+        new = dict(row[0])
+        for n, c in coeffs.items():
             v = new.get(n, 0) + f * c
             if v:
                 new[n] = v
             else:
                 del new[n]
-        out.append((new, row[1] + f * pivot_const))
+        out.append((new, row[1] + f * const))
     return out
 
 

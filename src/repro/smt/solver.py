@@ -1,11 +1,14 @@
 """SMT entry points for quantifier-free linear integer arithmetic.
 
-The fast conjunction-level entry points the verifier uses on its hot
-paths (:func:`is_sat_conjunction`, :func:`entails`) go straight to the
-LIA conjunction procedure (:mod:`repro.smt.lia`), bypassing the SAT
-engine entirely.  Any other formula runs on the incremental
-:mod:`repro.smt.session`, whose lazy DPLL(T) loop combines the CDCL SAT
-solver (:mod:`repro.smt.sat`) with the LIA procedure.
+The conjunction-level entry point the verifier uses on its hot paths
+(:func:`is_sat_conjunction`) goes straight to the LIA conjunction
+procedure (:mod:`repro.smt.lia`), bypassing the SAT engine entirely.
+:func:`is_sat` (and so :func:`is_valid` and :func:`entails`) pushes
+negations down to the comparison atoms first: a conjunction of literals
+is one conjunction query, and a conjunction plus one clause of literals
+is one conjunction query per disjunct.  Any other formula runs on the
+incremental :mod:`repro.smt.session`, whose lazy DPLL(T) loop combines
+the CDCL SAT solver (:mod:`repro.smt.sat`) with the LIA procedure.
 
 Every verdict computed here is memoized in the shared, bounded
 :data:`repro.smt.qcache.SAT_CACHE` under canonicalized keys, and every
@@ -29,7 +32,7 @@ from .qcache import (
     remember_alias,
     term_key,
 )
-from .terms import And, BoolConst, Cmp, FALSE, TRUE, Term, and_, not_
+from .terms import And, BoolConst, Cmp, FALSE, Not, Or, TRUE, Term, and_, not_
 
 __all__ = [
     "SmtResult",
@@ -70,11 +73,21 @@ MAX_THEORY_ROUNDS = 10_000
 
 
 def is_sat(formula: Term) -> bool:
-    """Is the formula satisfiable over the integers?"""
-    conj = _try_conjunction(formula)
-    if conj is not None:
-        return is_sat_conjunction(conj)
-    return _is_sat_general(formula)
+    """Is the formula satisfiable over the integers?
+
+    With negations pushed down to the comparison atoms, a conjunction of
+    literals is one :func:`is_sat_conjunction` query, and a conjunction
+    plus exactly one clause of literals is one query per disjunct (sat
+    when any is), so no product of clauses is ever expanded.  Any other
+    formula goes to the incremental session.
+    """
+    form = _clause_form(formula)
+    if form is None:
+        return _is_sat_general(formula)
+    units, clause = form
+    if clause is None:
+        return is_sat_conjunction(units)
+    return any(is_sat_conjunction(units + [lit]) for lit in clause)
 
 
 def _is_sat_general(formula: Term) -> bool:
@@ -141,26 +154,38 @@ def equivalent(a: Term, b: Term) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _try_conjunction(formula: Term) -> list[Term] | None:
-    """Flatten into a list of possibly-negated atoms, or None if disjunctive."""
-    from .terms import Not
+def _clause_form(formula: Term) -> tuple[list[Term], list[Term] | None] | None:
+    """``formula`` as unit literals and at most one clause of literals.
 
-    literals: list[Term] = []
-    stack = [formula]
+    Negations are pushed down to the comparison atoms, so ``!(a || b)``
+    gives the units ``!a`` and ``!b``, and ``!(a && b)`` the clause
+    ``!a || !b``.  None when the formula has a second disjunction, a
+    disjunct that is not a literal, or a connective other than And, Or
+    and Not.
+    """
+    units: list[Term] = []
+    clause: list[Term] | None = None
+    stack = [(formula, False)]
     while stack:
-        t = stack.pop()
-        if isinstance(t, And):
-            stack.extend(t.args)
+        t, negated = stack.pop()
+        while isinstance(t, Not):
+            t, negated = t.arg, not negated
+        if isinstance(t, Cmp):
+            units.append(Not(t) if negated else t)
         elif isinstance(t, BoolConst):
-            if not t.value:
-                return [FALSE]
-        elif isinstance(t, Cmp):
-            literals.append(t)
-        elif isinstance(t, Not) and isinstance(t.arg, Cmp):
-            literals.append(t)
+            if t.value == negated:
+                return [FALSE], None
+        elif isinstance(t, Or if negated else And):
+            stack.extend((a, negated) for a in reversed(t.args))
+        elif isinstance(t, And if negated else Or) and clause is None:
+            # The clause negates a conjunction of literals: its dual.
+            dual = _clause_form(t if negated else Not(t))
+            if dual is None or dual[1] is not None:
+                return None
+            clause = [not_(lit) for lit in dual[0]]
         else:
             return None
-    return literals
+    return units, clause
 
 
 def clear_conjunction_cache() -> None:

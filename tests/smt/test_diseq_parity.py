@@ -19,11 +19,14 @@ Where the reference's branch-and-bound gives up
 (:class:`~repro.smt.lia.BranchDepthExceeded`), the new procedure's
 outcome is recorded instead of compared.  The new procedure gives up
 only where the reference does: when branch-and-bound gives up on the
-reduced rows, it retries the input rows.
+reduced rows, it retries the input rows.  On equalities it never gives
+up: a Euclid step gives every equality a +-1 coefficient, which drawn
+systems of up to three equalities check against brute force.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import event, example, given, settings
@@ -121,7 +124,7 @@ def conjunctions(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(conjunctions())
-# Pivots of 2 and 3 only: the equality stays for the elimination pipeline.
+# Pivots of 2 and 3 only: a Euclid step gives the equality a +-1 one.
 @example(([eq({"x": 2, "y": 3}, -1)], [ne({"x": 1}, -2)]))
 # 2x - 1 == 0 has no integer solution; no variable has a +-1 coefficient.
 @example(([eq({"x": 2}, -1)], [ne({"y": 1})]))
@@ -158,8 +161,7 @@ def conjunctions(draw):
         [],
     )
 )
-# No +-1 coefficient anywhere: branch-and-bound gives up on the rows as
-# the reduction leaves them, and answers on the input rows.
+# No +-1 coefficient anywhere: Euclid steps reduce both equalities.
 @example(([eq({"x": -2, "y": -3}, -2), eq({"w": -3, "y": 3, "z": 2}, 2)], [ne({}, 1)]))
 # The rows the reduction leaves still need a split: x == 1 is the
 # rational model of 1 <= x <= 2, and x != 1 splits it.
@@ -191,19 +193,80 @@ _NO_INTEGER_POINT = [le({"x": 2, "y": -2}, -1), le({"x": -2, "y": 2}, 1)]
 
 def test_branch_depth_outcomes_are_recorded():
     """The reference gives up on the base solve of each of these.  The new
-    procedure gives up too where it needs branch-and-bound: -2x + 2y + 3z
-    == 3 has no +-1 coefficient.  It answers where dividing out a common
-    factor refutes the rows (2x - 2y - 1 <= 0 becomes x - y <= 0, and
-    -2x + 2y + 1 <= 0 becomes -x + y + 1 <= 0), and where a disequality
+    procedure answers all of them.  -2x + 2y + 3z == 3 has no +-1
+    coefficient: the Euclid step on x leaves -2x' - z - 3 == 0, and z is
+    substituted away (x = y = 0, z = 1 is a solution).  Dividing out a
+    common factor refutes the strip (2x - 2y - 1 <= 0 becomes x - y <= 0,
+    and -2x + 2y + 1 <= 0 becomes -x + y + 1 <= 0), and a disequality
     reduces to 0 first."""
     no_unit_pivot = [eq({"x": -2, "y": 2, "z": 3}, -3)]
     assert _outcome(reference, no_unit_pivot, []) == "branch depth exceeded"
-    assert _outcome(is_sat_with_diseqs, no_unit_pivot, []) == "branch depth exceeded"
+    assert _outcome(is_sat_with_diseqs, no_unit_pivot, []) is True
     assert _outcome(reference, _NO_INTEGER_POINT, []) == "branch depth exceeded"
     assert _outcome(is_sat_with_diseqs, _NO_INTEGER_POINT, []) is False
     refuted = (_NO_INTEGER_POINT + [eq({"z": 1, "x": -1})], [ne({"z": 1, "x": -1})])
     assert _outcome(reference, *refuted) == "branch depth exceeded"
     assert _outcome(is_sat_with_diseqs, *refuted) is False
+
+
+_BOX = range(-6, 7)
+
+
+@st.composite
+def equality_systems(draw):
+    """One to three equalities over x, y and z with coefficients and
+    constants in -3..3, and at most one inequality and one disequality."""
+    coeffs = st.integers(min_value=-3, max_value=3)
+
+    def row():
+        return (
+            {n: draw(coeffs) for n in ("x", "y", "z") if draw(st.booleans())},
+            draw(coeffs),
+        )
+
+    eqs = [row() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    ineqs = [row() for _ in range(draw(st.integers(min_value=0, max_value=1)))]
+    neqs = [row() for _ in range(draw(st.integers(min_value=0, max_value=1)))]
+    return eqs, ineqs, neqs
+
+
+def _value(row, point):
+    coeffs, const = row
+    return const + sum(c * point[n] for n, c in coeffs.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(equality_systems())
+# 5x + 8y + 1 == 0 takes three Euclid steps: its coefficients go from
+# (5, 8) to (5, 3), (2, 3) and (2, 1); x = 3, y = -2 is a solution.
+@example(([({"x": 5, "y": 8}, 1)], [], []))
+@example(([({"x": -2, "y": 2, "z": 3}, -3)], [], []))
+@example(([({"x": 2, "y": 3}, -1), ({"x": 3, "z": 2}, 0)], [], [({"y": 1}, 0)]))
+def test_equality_systems_agree_with_bruteforce(system):
+    """The procedure never gives up on these.  A point of the box
+    [-6, 6]^3 that satisfies every row makes it answer sat, and an unsat
+    answer leaves no such point; where the reference answers, the
+    verdicts agree."""
+    eqs, ineqs, neqs = system
+    constraints = [eq(*r) for r in eqs] + [le(*r) for r in ineqs]
+    diseqs = [ne(*r) for r in neqs]
+    got = is_sat_with_diseqs(constraints, diseqs)
+    witness = any(
+        all(_value(r, p) == 0 for r in eqs)
+        and all(_value(r, p) <= 0 for r in ineqs)
+        and all(_value(r, p) != 0 for r in neqs)
+        for p in (
+            dict(zip("xyz", values))
+            for values in itertools.product(_BOX, repeat=3)
+        )
+    )
+    if witness:
+        assert got is True, system
+    expected = _outcome(reference, constraints, diseqs)
+    if expected == "branch depth exceeded":
+        event(f"reference gave up; the reduction answered {got!r}")
+    else:
+        assert got == expected, system
 
 
 # -- every call of the benchmark queries -------------------------------------------

@@ -19,19 +19,25 @@ started near the rescale so that it happens with variables of nonzero
 activity still unassigned, and every
 session solve of check-table1's 13 queries and batch-cold's corpus (fuzz
 0-31 without pointers), with :class:`Lockstep` injected into
-:mod:`repro.smt.session` as its solver.
+:mod:`repro.smt.session` as its solver.  Those runs decide every formula
+on the conjunction kernel, so each formula they pass to ``is_sat``, the
+trace formulas included, is also checked on the calling thread's
+session, which must give the same verdict.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.smt.session as session_module
+import repro.smt.solver as solver_module
 from repro.engine import BatchItem, run_batch
 from repro.fuzz.gen import RACE_VAR, GenConfig, generate
 from repro.nesc import BENCHMARKS
@@ -39,7 +45,8 @@ from repro.nesc.programs import TEST_AND_SET_SOURCE
 from repro.races.spec import check_race
 from repro.smt.qcache import SAT_CACHE
 from repro.smt.sat import SAT, UNSAT, SatSolver
-from repro.smt.session import reset_default_session
+from repro.smt.session import default_session, reset_default_session
+from repro.smt.terms import Term
 
 from .sat_reference import SatSolver as ReferenceSolver
 
@@ -215,10 +222,32 @@ def test_solve_after_sat_reuses_the_heap():
 # -- every session solve of the benchmark queries ---------------------------------
 
 
+def on_is_sat(monkeypatch, hook: Callable[[Term, bool], None]) -> None:
+    """Call ``hook(formula, verdict)`` after every ``is_sat`` call, in
+    every ``repro`` module that imported it (refine's trace formulas
+    included)."""
+    production = solver_module.is_sat
+
+    def hooked(formula: Term) -> bool:
+        verdict = production(formula)
+        hook(formula, verdict)
+        return verdict
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "is_sat", None) is production:
+            monkeypatch.setattr(module, "is_sat", hooked)
+
+
+def _same_on_session(formula: Term, verdict: bool) -> None:
+    assert default_session().check(formula).is_sat == verdict, formula
+
+
 @pytest.fixture
 def lockstep_session(monkeypatch):
-    """The calling thread's session, rebuilt on :class:`Lockstep`."""
+    """The calling thread's session, rebuilt on :class:`Lockstep`, which
+    also checks every ``is_sat`` formula."""
     monkeypatch.setattr(session_module, "SatSolver", Lockstep)
+    on_is_sat(monkeypatch, _same_on_session)
     SAT_CACHE.clear()
     reset_default_session()
     Lockstep.solves = 0
